@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"strings"
@@ -164,6 +165,7 @@ func (r *jobsRig) close() {
 
 // jobResult is one submission's outcome as the client saw it.
 type jobResult struct {
+	ok       bool // passed every check
 	hit      bool
 	latency  time.Duration
 	req      int64
@@ -236,19 +238,25 @@ func jobsPass(rc *runCtx, r *jobsRig) (hits, misses []jobResult, served map[int]
 		switch {
 		case err != nil:
 			rc.rep.fail("job %d (scenario %d): %v", k, idx, err)
-			continue
 		case res.hit != seen:
 			rc.rep.fail("job %d (scenario %d): cache hit %t, want %t", k, idx, res.hit, seen)
-			continue
 		case seen && !bytes.Equal(res.csv, prev):
 			rc.rep.fail("job %d (scenario %d): cache hit's trials CSV differs from its miss's", k, idx)
-			continue
+		default:
+			res.ok = true
+		}
+		if !res.ok {
+			// A failed submission counts where it was expected, with an
+			// infinite latency (see latencies).
+			res.hit = seen
 		}
 		if res.hit {
 			hits = append(hits, res)
 		} else {
 			misses = append(misses, res)
-			served[idx] = res.csv
+			if res.ok {
+				served[idx] = res.csv
+			}
 		}
 	}
 	return hits, misses, served
@@ -274,10 +282,14 @@ func checkServed(rc *runCtx, r *jobsRig, served map[int][]byte) error {
 	return nil
 }
 
+// latencies returns submit-to-done times in ms, +Inf for failed ones.
 func latencies(rs []jobResult) []float64 {
 	out := make([]float64, len(rs))
 	for i, r := range rs {
-		out[i] = r.latency.Seconds() * 1e3
+		out[i] = math.Inf(1)
+		if r.ok {
+			out[i] = r.latency.Seconds() * 1e3
+		}
 	}
 	return out
 }
