@@ -694,6 +694,50 @@ func maxRate(rep *report, conns []*decideConn, low, high phase) (float64, error)
 	return lo, nil
 }
 
+// admissionCounts is a snapshot of a rig's admission counters: the
+// server's, and the evictions summed over its open-loop sessions.
+type admissionCounts struct {
+	decideSeconds                    float64
+	decideCalls, decisions, accepted int64
+	stale, evictions                 int64
+}
+
+func (a admissionCounts) minus(b admissionCounts) admissionCounts {
+	return admissionCounts{
+		decideSeconds: a.decideSeconds - b.decideSeconds,
+		decideCalls:   a.decideCalls - b.decideCalls,
+		decisions:     a.decisions - b.decisions,
+		accepted:      a.accepted - b.accepted,
+		stale:         a.stale - b.stale,
+		evictions:     a.evictions - b.evictions,
+	}
+}
+
+func (r *decideRig) admissionCounts() (admissionCounts, error) {
+	m := r.h.svc.Metrics()
+	a := admissionCounts{
+		decideSeconds: m.DecideLatency.Sum(),
+		decideCalls:   m.DecideLatency.Count(),
+		decisions:     m.Decisions.Load(),
+		accepted:      m.DecisionsAccepted.Load(),
+		stale:         m.StaleCompletions.Load(),
+	}
+	for _, c := range r.conns {
+		status, body, _, err := c.cl.do(http.MethodGet, c.open, nil)
+		var snap struct {
+			Counters admission.Counters `json:"counters"`
+		}
+		if err == nil && status == http.StatusOK {
+			err = json.Unmarshal(body, &snap)
+		}
+		if err != nil || status != http.StatusOK {
+			return a, fmt.Errorf("reading session %s: status %d, %v", c.open, status, err)
+		}
+		a.evictions += int64(snap.Counters.Evicted)
+	}
+	return a, nil
+}
+
 func runDecide(rc *runCtx) error {
 	nOpen := openOps(rc.budget, rc.traced(), rc.traced())
 	rig, err := measureSetup(rc, func() (*decideRig, error) { return newDecideRig(rc.seed, nOpen, nil) }, (*decideRig).close)
@@ -763,6 +807,12 @@ func runDecide(rc *runCtx) error {
 	if _, _, err := runPhase(rc.rep, trig.conns, rateLow, warmupOps); err != nil {
 		return err
 	}
+	// Admission counts cover the fixed-rate phases alone, which send the
+	// same requests on every run of a seed: the warm-up is subtracted.
+	warm, err := trig.admissionCounts()
+	if err != nil {
+		return err
+	}
 	tlow, tlowRecs, err := runPhase(rc.rep, trig.conns, rateLow, lowN)
 	if err != nil {
 		return err
@@ -771,27 +821,15 @@ func runDecide(rc *runCtx) error {
 	if err != nil {
 		return err
 	}
-	// Admission counts cover the fixed-rate phases alone, which send the
-	// same requests on every run of a seed.
-	m := trig.h.svc.Metrics()
-	rc.rep.layer("admission.decide_us", "us", m.DecideLatency.Sum()/float64(m.DecideLatency.Count())*1e6)
-	rc.rep.layer("admission.accept_ratio", "ratio", float64(m.DecisionsAccepted.Load())/float64(m.Decisions.Load()))
-	rc.rep.layer("admission.stale_completions", "count", float64(m.StaleCompletions.Load()))
-	var evictions float64
-	for _, c := range trig.conns {
-		status, body, _, err := c.cl.do(http.MethodGet, c.open, nil)
-		var snap struct {
-			Counters admission.Counters `json:"counters"`
-		}
-		if err == nil && status == http.StatusOK {
-			err = json.Unmarshal(body, &snap)
-		}
-		if err != nil || status != http.StatusOK {
-			return fmt.Errorf("reading session %s: status %d, %v", c.open, status, err)
-		}
-		evictions += float64(snap.Counters.Evicted)
+	fixed, err := trig.admissionCounts()
+	if err != nil {
+		return err
 	}
-	rc.rep.layer("admission.evictions", "count", evictions)
+	fixed = fixed.minus(warm)
+	rc.rep.layer("admission.decide_us", "us", fixed.decideSeconds/float64(fixed.decideCalls)*1e6)
+	rc.rep.layer("admission.accept_ratio", "ratio", float64(fixed.accepted)/float64(fixed.decisions))
+	rc.rep.layer("admission.stale_completions", "count", float64(fixed.stale))
+	rc.rep.layer("admission.evictions", "count", float64(fixed.evictions))
 
 	var transport []float64
 	for _, recs := range [][][]sent{tlowRecs, thighRecs} {

@@ -25,9 +25,14 @@ import (
 // store; the rest are new and run on the engine before being stored.
 
 const (
-	// missEvery: about one submission in missEvery is a new scenario. Each
-	// new one costs the store an fsync; one in eight kept a shared disk
-	// busy enough to slow later runs of a sequence.
+	// missEvery: about one submission in missEvery is a new scenario. The
+	// mix is an assumption, not observed traffic: no trace of real job
+	// submissions exists. It is kept low because each miss costs the store
+	// an fsync, and at one in eight those fsyncs kept a shared disk busy
+	// enough to slow later runs of a sequence. Hits and misses are timed
+	// apart, so the mix moves the sample counts of each, how much of a pass
+	// goes to engine runs and fsyncs (whose after-effects reach the hits
+	// that follow), and store.hit_ratio.
 	missEvery = 32
 	// passOps is the length of one untraced pass. Passes repeat, each on a
 	// fresh server and store, until the budget is spent: the server keeps

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"syscall"
@@ -93,25 +94,37 @@ func (rc *runCtx) traced() bool { return rc.rep.traced }
 // note prints a line for the reader of the run's output.
 func note(format string, args ...any) { fmt.Printf(format+"\n", args...) }
 
-// setupRuns is how many times a run sets its workload up; setup_s is the
-// median, and the last instance is the one measured.
-const setupRuns = 9
+// A run sets its workload up at least setupMinRuns times, and more, up to
+// setupMaxRuns, until setupBudget has been spent setting up; setup_s is the
+// median, and the last instance is the one measured. A cheap set-up is
+// repeated many times, so its median holds still from run to run.
+const (
+	setupMinRuns = 9
+	setupMaxRuns = 201
+	setupBudget  = 500 * time.Millisecond
+)
 
-// measureSetup runs setup setupRuns times, tears down all instances but the
-// last, and records the median set-up time as setup_s.
+// measureSetup runs setup as described above, tears down all instances but
+// the last, and records the median set-up time as setup_s. It collects
+// garbage before each set-up, so that no set-up pays for collecting the
+// instances torn down before it.
 func measureSetup[T any](rc *runCtx, setup func() (T, error), teardown func(T)) (T, error) {
 	var last T
-	times := make([]float64, 0, setupRuns)
-	for i := 0; i < setupRuns; i++ {
+	var times []float64
+	var spent time.Duration
+	for i := 0; i < setupMinRuns || (i < setupMaxRuns && spent < setupBudget); i++ {
 		if i > 0 {
 			teardown(last)
 		}
+		runtime.GC()
 		start := time.Now()
 		v, err := setup()
 		if err != nil {
 			return v, fmt.Errorf("set-up: %w", err)
 		}
-		times = append(times, time.Since(start).Seconds())
+		d := time.Since(start)
+		spent += d
+		times = append(times, d.Seconds())
 		last = v
 	}
 	rc.rep.e2e("setup_s", "s", median(times))

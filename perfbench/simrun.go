@@ -10,17 +10,15 @@ import (
 	"sync"
 	"time"
 
-	"prunesim/internal/pet"
 	"prunesim/internal/scenario"
 )
 
 func runSweep(rc *runCtx) error {
-	return runSim(rc, "sweep", sweepCells(rc.seed), sweepUnit)
+	return runSim(rc, "sweep", sweepCells)
 }
 
 func runStream(rc *runCtx) error {
-	cells := []scenario.Cell{{Series: "stream", X: "KPB", Scenario: streamScenario(rc.seed)}}
-	return runSim(rc, "stream_immediate", cells, streamUnit)
+	return runSim(rc, "stream_immediate", streamCells)
 }
 
 // repeatUnits runs f at least once and until budget has elapsed.
@@ -40,8 +38,10 @@ func repeatUnits(budget time.Duration, f func() (unit, error)) ([]unit, error) {
 // runSim measures a simulation workload. Every trial of every repetition is
 // an operation; it fails when its result digest differs from the expected
 // one: the stored reference for this seed when there is one, otherwise the
-// first repetition's.
-func runSim(rc *runCtx, name string, cells []scenario.Cell, untraced func([]scenario.Cell) (unit, error)) error {
+// first repetition's. Set-up is what every repetition then uses: this
+// seed's reference digests and the cells generated from the seed,
+// normalized and validated.
+func runSim(rc *runCtx, name string, gen func(seed uint64) []scenario.Cell) error {
 	type inputs struct {
 		cells []scenario.Cell
 		want  []string
@@ -51,10 +51,10 @@ func runSim(rc *runCtx, name string, cells []scenario.Cell, untraced func([]scen
 		if err != nil {
 			return inputs{}, err
 		}
-		matrices := map[string]*pet.Matrix{}
-		for _, c := range cells {
-			if _, err := compileCell(c.Series, c.Scenario, matrices); err != nil {
-				return inputs{}, err
+		cells := gen(rc.seed)
+		for i := range cells {
+			if cells[i].Scenario, err = cells[i].Scenario.Normalize(); err != nil {
+				return inputs{}, fmt.Errorf("cell %s|%s: %w", cells[i].Series, cells[i].X, err)
 			}
 		}
 		want, _ := ref.lookup(name, rc.seed)
@@ -79,7 +79,7 @@ func runSim(rc *runCtx, name string, cells []scenario.Cell, untraced func([]scen
 		}
 	}
 
-	plain, err := repeatUnits(rc.budget, func() (unit, error) { return untraced(in.cells) })
+	plain, err := repeatUnits(rc.budget, func() (unit, error) { return sweepUnit(in.cells) })
 	if err != nil {
 		return err
 	}
@@ -202,13 +202,11 @@ func recordReference(seeds, path string) error {
 		go func() {
 			defer wg.Done()
 			for j := range next {
-				var u unit
-				var err error
-				if j.name == "sweep" {
-					u, err = sweepUnit(sweepCells(j.seed))
-				} else {
-					u, err = streamUnit([]scenario.Cell{{Series: "stream", Scenario: streamScenario(j.seed)}})
+				cells := sweepCells(j.seed)
+				if j.name == "stream_immediate" {
+					cells = streamCells(j.seed)
 				}
+				u, err := sweepUnit(cells)
 				mu.Lock()
 				if err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("%s seed %d: %w", j.name, j.seed, err)

@@ -77,11 +77,12 @@ func sweepCells(seed uint64) []scenario.Cell {
 	return cells
 }
 
-// streamScenario is the long streaming trial: KPB in immediate mode with
-// pruning, under bursty Markov-modulated arrivals at the paper's 15K
-// oversubscription level, with the tail compression million-task runs use.
-func streamScenario(seed uint64) scenario.Scenario {
-	return scenario.Scenario{
+// streamCells is the long streaming trial, a single cell: KPB in immediate
+// mode with pruning, under bursty Markov-modulated arrivals at the paper's
+// 15K oversubscription level, with the tail compression million-task runs
+// use.
+func streamCells(seed uint64) []scenario.Cell {
+	s := scenario.Scenario{
 		Name: "stream_immediate",
 		Workload: scenario.Workload{
 			Pattern:  workload.ModelMMPP,
@@ -93,6 +94,7 @@ func streamScenario(seed uint64) scenario.Scenario {
 		Prune:    scenario.Prune{Enabled: true},
 		Run:      scenario.Run{Trials: 1, Seed: deriveSeed(seed, "stream")},
 	}
+	return []scenario.Cell{{Series: "stream", X: "KPB", Scenario: s}}
 }
 
 // cell is one scenario lowered to simulator inputs through public
@@ -340,8 +342,10 @@ type unit struct {
 	trialSum time.Duration
 }
 
-// sweepUnit runs the sweep through scenario.Engine.Sweep on a fresh engine,
-// so each unit pays the same PET-matrix and arrival-model compilation.
+// sweepUnit runs the cells through scenario.Engine.Sweep on a fresh engine,
+// so each unit pays the same PET-matrix and arrival-model compilation. Both
+// simulation workloads measure it: the streaming trial is a sweep of one
+// cell with one trial.
 func sweepUnit(cells []scenario.Cell) (unit, error) {
 	var u unit
 	var m0, m1 runtime.MemStats
@@ -362,31 +366,6 @@ func sweepUnit(cells []scenario.Cell) (unit, error) {
 		}
 	}
 	return u, nil
-}
-
-// streamUnit runs the streaming trial through sim.RunStream, compiling its
-// inputs first as the engine would.
-func streamUnit(cells []scenario.Cell) (unit, error) {
-	var u unit
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	c, err := compileCell(cells[0].Series, cells[0].Scenario, map[string]*pet.Matrix{})
-	if err != nil {
-		return u, err
-	}
-	cfg, err := c.config()
-	if err != nil {
-		return u, err
-	}
-	res, err := sim.RunStream(c.matrix, c.source(0), cfg)
-	u.wall = time.Since(start)
-	runtime.ReadMemStats(&m1)
-	if err != nil {
-		return u, err
-	}
-	u.allocBytes = m1.TotalAlloc - m0.TotalAlloc
-	return u, u.addResult(res)
 }
 
 func (u *unit) addResult(r *sim.Result) error {
