@@ -157,6 +157,17 @@ func TestSameSeedSameInputs(t *testing.T) {
 	if !reflect.DeepEqual(jobScript(7, 500), jobScript(7, 500)) || reflect.DeepEqual(jobScript(7, 500), jobScript(8, 500)) {
 		t.Error("job scripts must repeat by seed and differ across seeds")
 	}
+	fresh := 0
+	for _, idx := range jobScript(7, passOps) {
+		if idx == fresh {
+			fresh++
+		} else if idx > fresh {
+			t.Fatalf("job script submits scenario %d before scenario %d", idx, fresh)
+		}
+	}
+	if want := passOps / missEvery; fresh != want {
+		t.Errorf("job script has %d new scenarios, want %d", fresh, want)
+	}
 	if !reflect.DeepEqual(sweepCells(7), sweepCells(7)) || reflect.DeepEqual(sweepCells(7), sweepCells(8)) {
 		t.Error("sweep cells must repeat by seed and differ across seeds")
 	}

@@ -25,7 +25,7 @@ import (
 // store; the rest are new and run on the engine before being stored.
 
 const (
-	// missEvery: about one submission in missEvery is a new scenario. The
+	// missEvery: one submission in missEvery is a new scenario. The
 	// mix is an assumption, not observed traffic: no trace of real job
 	// submissions exists. It is kept low because each miss costs the store
 	// an fsync, and at one in eight those fsyncs kept a shared disk busy
@@ -58,15 +58,21 @@ func jobScenario(seed uint64, i int) scenario.Scenario {
 	}
 }
 
-// jobScript returns n submissions as scenario indices: each is a new
-// scenario with probability 1/missEvery (always the first), otherwise a
-// uniformly chosen earlier one.
+// jobScript returns n submissions as scenario indices: n/missEvery of them
+// (at least one, always the first) are new scenarios at uniformly chosen
+// positions, the others uniformly chosen earlier ones. A fixed count of new
+// ones gives every seed the same mix of work, set-up included.
 func jobScript(seed uint64, n int) []int {
 	rng := randx.New(deriveSeed(seed, "jobs"))
+	isNew := make([]bool, n)
+	isNew[0] = true
+	for _, k := range rng.Perm(n - 1)[:max(n/missEvery, 1)-1] {
+		isNew[k+1] = true
+	}
 	ops := make([]int, n)
 	fresh := 0
 	for k := range ops {
-		if fresh == 0 || rng.IntN(missEvery) == 0 {
+		if isNew[k] {
 			ops[k] = fresh
 			fresh++
 		} else {
