@@ -97,7 +97,7 @@ func note(format string, args ...any) { fmt.Printf(format+"\n", args...) }
 // A run sets its workload up at least setupMinRuns times, and more, up to
 // setupMaxRuns, until setupBudget has been spent setting up; setup_s is the
 // median, and the last instance is the one measured. A cheap set-up is
-// repeated many times, so its median holds still from run to run.
+// repeated many times, so stray slow set-ups do not move its median.
 const (
 	setupMinRuns = 9
 	setupMaxRuns = 201
