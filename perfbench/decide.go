@@ -600,55 +600,105 @@ func (c *decideConn) createSession() (string, error) {
 	return "/v1/sessions/" + created.SessionID, nil
 }
 
+// batchStats is what a closed-loop batch phase measured.
+type batchStats struct {
+	rate       float64   // median decisions per second of the repetitions
+	latencyMS  []float64 // each decide/batch request's; +Inf when it failed
+	allocBytes uint64    // allocated by the process while requests ran
+	decisions  int64     // answered decisions
+	// onTime and decided are summed over the sessions of the last
+	// repetition: tasks completed by their deadline, and tasks decided.
+	onTime, decided uint64
+}
+
+// robustnessPct is the paper's metric over the last repetition's sessions:
+// the share of decided tasks that completed by their deadline. Tasks still
+// queued or running when a script ends count as missed.
+func (b batchStats) robustnessPct() float64 {
+	return 100 * float64(b.onTime) / float64(max(b.decided, 1))
+}
+
 // batchPhase replays every connection's batch script, in a closed loop on a
-// fresh session each time, until d has passed, and returns the median
-// decisions per second of the repetitions. Creating and closing the
+// fresh session each time, until d has passed. Creating and closing the
 // sessions is not timed.
-func batchPhase(rep *report, conns []*decideConn, d time.Duration) (float64, error) {
+func batchPhase(rep *report, conns []*decideConn, d time.Duration) (batchStats, error) {
+	var b batchStats
 	start := time.Now()
 	var rates []float64
 	for len(rates) == 0 || time.Since(start) < d {
 		for _, c := range conns {
 			if c.batch != "" {
 				if status, _, _, err := c.cl.do(http.MethodDelete, c.batch, nil); err != nil || status != http.StatusOK {
-					return 0, fmt.Errorf("closing session %s: status %d, %v", c.batch, status, err)
+					return b, fmt.Errorf("closing session %s: status %d, %v", c.batch, status, err)
 				}
 			}
 			var err error
 			if c.batch, err = c.createSession(); err != nil {
-				return 0, err
+				return b, err
 			}
 		}
-		rates = append(rates, batchLoop(rep, conns))
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rate, lat, n := batchLoop(rep, conns)
+		runtime.ReadMemStats(&m1)
+		rates = append(rates, rate)
+		b.latencyMS = append(b.latencyMS, lat...)
+		b.allocBytes += m1.TotalAlloc - m0.TotalAlloc
+		b.decisions += n
 	}
-	return median(rates), nil
+	b.rate = median(rates)
+	for _, c := range conns {
+		counters, err := c.counters(c.batch)
+		if err != nil {
+			return b, err
+		}
+		b.onTime += counters.OnTime
+		b.decided += counters.Decisions
+	}
+	return b, nil
 }
 
 // batchLoop sends each connection's whole batch script in a closed loop and
-// returns decisions per second.
-func batchLoop(rep *report, conns []*decideConn) float64 {
+// returns decisions per second, every decide/batch request's latency in ms
+// (+Inf when it failed) and the number of decisions answered.
+func batchLoop(rep *report, conns []*decideConn) (float64, []float64, int64) {
 	start := time.Now()
 	counts := make([]int, len(conns))
+	lats := make([][]float64, len(conns))
 	var wg sync.WaitGroup
 	for i, c := range conns {
 		wg.Add(1)
 		go func(i int, c *decideConn) {
 			defer wg.Done()
+			var lat []float64
 			for k := range c.batchOps {
 				op := &c.batchOps[k]
-				if _, ok := c.send(rep, c.batch, op); ok {
+				t0 := time.Now()
+				_, ok := c.send(rep, c.batch, op)
+				if ok {
 					counts[i] += op.decisions()
 				}
+				if op.kind == opBatch {
+					ms := math.Inf(1)
+					if ok {
+						ms = time.Since(t0).Seconds() * 1e3
+					}
+					lat = append(lat, ms)
+				}
 			}
+			lats[i] = lat
 			rep.attempt(len(c.batchOps))
 		}(i, c)
 	}
 	wg.Wait()
+	elapsed := time.Since(start)
+	var all []float64
 	total := 0
-	for _, n := range counts {
-		total += n
+	for i := range conns {
+		total += counts[i]
+		all = append(all, lats[i]...)
 	}
-	return float64(total) / time.Since(start).Seconds()
+	return float64(total) / elapsed.Seconds(), all, int64(total)
 }
 
 // maxRate searches for the highest offered rate that meets the latency
@@ -723,19 +773,28 @@ func (r *decideRig) admissionCounts() (admissionCounts, error) {
 		stale:         m.StaleCompletions.Load(),
 	}
 	for _, c := range r.conns {
-		status, body, _, err := c.cl.do(http.MethodGet, c.open, nil)
-		var snap struct {
-			Counters admission.Counters `json:"counters"`
+		counters, err := c.counters(c.open)
+		if err != nil {
+			return a, err
 		}
-		if err == nil && status == http.StatusOK {
-			err = json.Unmarshal(body, &snap)
-		}
-		if err != nil || status != http.StatusOK {
-			return a, fmt.Errorf("reading session %s: status %d, %v", c.open, status, err)
-		}
-		a.evictions += int64(snap.Counters.Evicted)
+		a.evictions += int64(counters.Evicted)
 	}
 	return a, nil
+}
+
+// counters reads the decision counters of the session at path.
+func (c *decideConn) counters(path string) (admission.Counters, error) {
+	status, body, _, err := c.cl.do(http.MethodGet, path, nil)
+	var snap struct {
+		Counters admission.Counters `json:"counters"`
+	}
+	if err == nil && status == http.StatusOK {
+		err = json.Unmarshal(body, &snap)
+	}
+	if err != nil || status != http.StatusOK {
+		return snap.Counters, fmt.Errorf("reading session %s: status %d, %v", path, status, err)
+	}
+	return snap.Counters, nil
 }
 
 func runDecide(rc *runCtx) error {
@@ -749,11 +808,22 @@ func runDecide(rc *runCtx) error {
 		return err
 	}
 	if !rc.traced() {
-		batch, err := batchPhase(rc.rep, rig.conns, rc.budget)
+		b, err := batchPhase(rc.rep, rig.conns, rc.budget)
 		if err != nil {
 			return err
 		}
-		rc.rep.e2e("batch_decisions_per_s", "1/s", batch)
+		calls := newTiming("decide/batch request latency (ms)", b.latencyMS)
+		note("%s", calls)
+		p50, err := calls.at(50)
+		if err != nil {
+			return err
+		}
+		// An op is one admission decision; a call is one decide/batch
+		// request of 16 decisions.
+		rc.rep.e2e("ops_per_s", "1/s", b.rate)
+		rc.rep.e2e("call_p50_ms", "ms", p50)
+		rc.rep.e2e("robustness_pct", "%", b.robustnessPct())
+		rc.rep.e2e("alloc_bytes_per_op", "B", float64(b.allocBytes)/float64(max(b.decisions, 1)))
 		return nil
 	}
 

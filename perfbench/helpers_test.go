@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -215,5 +217,67 @@ func TestCorruptedReferenceFails(t *testing.T) {
 	}
 	if n := mismatches(u.digests, want[1:]); n != len(u.digests) {
 		t.Errorf("a truncated reference gave %d mismatches, want %d", n, len(u.digests))
+	}
+}
+
+func TestDeclaredMetricsMatchManifest(t *testing.T) {
+	raw, err := os.ReadFile("../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var manifest struct {
+		EndToEnd []struct{ Name, Unit string } `json:"end_to_end"`
+		PerLayer []struct{ Name, Unit string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(raw, &manifest); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		kind     string
+		listed   []struct{ Name, Unit string }
+		declared []metricSpec
+	}{{"end_to_end", manifest.EndToEnd, endToEnd}, {"per_layer", manifest.PerLayer, perLayer()}} {
+		var listed []metricSpec
+		for _, m := range c.listed {
+			listed = append(listed, metricSpec{m.Name, m.Unit})
+		}
+		if !reflect.DeepEqual(listed, c.declared) {
+			t.Errorf("%s in BENCHMARK.json:\n%v\nwant, as declared:\n%v", c.kind, listed, c.declared)
+		}
+	}
+}
+
+func TestReportComplete(t *testing.T) {
+	plain := &report{metrics: map[string]metric{}}
+	for _, m := range endToEnd[1:] {
+		plain.set(m.name, m.unit, 1)
+	}
+	if _, err := plain.complete(); err == nil {
+		t.Error("an untraced run missing setup_s passed")
+	}
+	plain.set("setup_s", "s", 1)
+	if _, err := plain.complete(); err != nil {
+		t.Errorf("an untraced run with every metric failed: %v", err)
+	}
+	plain.set("setup_s", "ms", 1)
+	if _, err := plain.complete(); err == nil {
+		t.Error("a metric in an undeclared unit passed")
+	}
+
+	traced := &report{traced: true, metrics: map[string]metric{}}
+	traced.set("store.gets", "count", 5)
+	unreached, err := traced.complete()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(unreached) != len(perLayer())-1 || len(traced.metrics) != len(perLayer()) {
+		t.Errorf("%d unreached of %d metrics; want all but store.gets", len(unreached), len(traced.metrics))
+	}
+	if m := traced.metrics["sim.events"]; m.Value != 0 || m.Unit != "count" {
+		t.Errorf("unreached sim.events = %+v, want 0 count", m)
+	}
+	traced.set("tasks_per_s", "1/s", 1)
+	if _, err := traced.complete(); err == nil {
+		t.Error("an undeclared metric passed")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -176,12 +177,13 @@ func (r *jobsRig) close() {
 
 // jobResult is one submission's outcome as the client saw it.
 type jobResult struct {
-	ok       bool // passed every check
-	hit      bool
-	latency  time.Duration
-	req      int64
-	csv      []byte
-	trialsMS []float64 // per-trial run times from the SSE progress events
+	ok         bool // passed every check
+	hit        bool
+	latency    time.Duration
+	req        int64
+	csv        []byte
+	trialsMS   []float64 // per-trial run times from the SSE progress events
+	robustness float64   // mean robustness over trials, from the "done" event
 }
 
 // submit posts scenario idx, waits for "done" on the job's event stream,
@@ -223,6 +225,10 @@ func (r *jobsRig) submit(idx int) (jobResult, error) {
 			return res, fmt.Errorf("job %s failed: %s", st.ID, ev.Error)
 		case "done":
 			done = true
+			if ev.Robustness == nil {
+				return res, fmt.Errorf("job %s: done event without robustness", st.ID)
+			}
+			res.robustness = ev.Robustness.Mean
 		}
 	}
 	if !done {
@@ -312,6 +318,8 @@ func runJobs(rc *runCtx) error {
 	}
 	var hits, misses []jobResult
 	var served map[int][]byte
+	var rates []float64
+	var alloc uint64
 	start := time.Now()
 	for pass := 0; pass == 0 || time.Since(start) < rc.budget; pass++ {
 		if pass > 0 {
@@ -320,7 +328,13 @@ func runJobs(rc *runCtx) error {
 				return err
 			}
 		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		passStart := time.Now()
 		h, m, s := jobsPass(rc, rig)
+		rates = append(rates, float64(len(rig.ops))/time.Since(passStart).Seconds())
+		runtime.ReadMemStats(&m1)
+		alloc += m1.TotalAlloc - m0.TotalAlloc
 		hits, misses = append(hits, h...), append(misses, m...)
 		if served == nil {
 			served = s
@@ -337,31 +351,45 @@ func runJobs(rc *runCtx) error {
 	if err != nil {
 		return err
 	}
+	all := append(latencies(hits), latencies(misses)...)
 	hit := newTiming("cache-hit job latency (ms)", latencies(hits))
 	miss := newTiming("cache-miss job latency (ms)", latencies(misses))
-	note("%s\n%s", hit, miss)
-	// The hit median is an end-to-end metric. The miss latencies and the hit
-	// tail are per-layer diagnostics: each miss waits for an fsync of the
-	// store's disk, whose time on a shared host moved from 0.5 to 2 ms
-	// between runs minutes apart; that moved job_miss_p50_ms by up to
-	// half between sets of runs, and the slowest fsyncs, and the stalls
-	// they cause, moved job_miss_p90_ms and job_hit_p99_ms by a third or
-	// more between runs.
+	call := newTiming("job latency (ms)", all)
+	note("%s\n%s\n%s", call, hit, miss)
+	p50, err := call.at(50)
+	if err != nil {
+		return err
+	}
+	var rob float64
+	var ok int
+	for _, r := range append(hits, misses...) {
+		if r.ok {
+			rob += r.robustness
+			ok++
+		}
+	}
+	// An op and a call are both one job: submitted, waited on until done,
+	// and its trials CSV fetched (the call's latency stops at done).
+	rc.rep.e2e("ops_per_s", "1/s", median(rates))
+	rc.rep.e2e("call_p50_ms", "ms", p50)
+	rc.rep.e2e("robustness_pct", "%", rob/float64(max(ok, 1)))
+	rc.rep.e2e("alloc_bytes_per_op", "B", float64(alloc)/float64(len(all)))
+	// Hits and misses apart are per-layer diagnostics: each miss waits for
+	// an fsync of the store's disk, whose time on a shared host moved from
+	// 0.5 to 2 ms between runs minutes apart; that moved job_miss_p50_ms by
+	// up to half between sets of runs, and the slowest fsyncs, and the
+	// stalls they cause, moved job_miss_p90_ms and job_hit_p99_ms by a third
+	// or more between runs.
 	for _, m := range []struct {
 		name string
 		t    timing
 		p    float64
-		e2e  bool
-	}{{"job_miss_p50_ms", miss, 50, false}, {"job_miss_p90_ms", miss, 90, false}, {"job_hit_p50_ms", hit, 50, true}, {"job_hit_p99_ms", hit, 99, false}} {
+	}{{"job_miss_p50_ms", miss, 50}, {"job_miss_p90_ms", miss, 90}, {"job_hit_p50_ms", hit, 50}, {"job_hit_p99_ms", hit, 99}} {
 		v, err := m.t.at(m.p)
 		if err != nil {
 			return err
 		}
-		if m.e2e {
-			rc.rep.e2e(m.name, "ms", v)
-		} else {
-			rc.rep.layer(m.name, "ms", v)
-		}
+		rc.rep.layer(m.name, "ms", v)
 	}
 	if !rc.traced() {
 		return nil

@@ -80,6 +80,85 @@ func (r *report) set(name, unit string, v float64) {
 	r.mu.Unlock()
 }
 
+// metricSpec is a metric BENCHMARK.json lists, with its unit.
+type metricSpec struct{ name, unit string }
+
+// endToEnd are the metrics every untraced run of every workload reports.
+// An "op" and a "call" are defined per workload in README.md.
+var endToEnd = []metricSpec{
+	{"setup_s", "s"},
+	{"ops_per_s", "1/s"},
+	{"call_p50_ms", "ms"},
+	{"robustness_pct", "%"},
+	{"alloc_bytes_per_op", "B"},
+	{"peak_rss_mb", "MB"},
+}
+
+// perLayer returns the metrics every traced run of every workload reports.
+// A workload reports 0 for the metrics of layers its spans never reach.
+func perLayer() []metricSpec {
+	var ms []metricSpec
+	for _, sh := range sweepHeuristics {
+		h := sh.name
+		ms = append(ms,
+			metricSpec{"sched.map_calls." + h, "count"},
+			metricSpec{"sched.map_ms." + h, "ms"},
+			metricSpec{"sched.scanned." + h, "count"},
+			metricSpec{"sched.assigned." + h, "count"},
+			metricSpec{"sched.assign_ratio." + h, "ratio"})
+	}
+	return append(ms, []metricSpec{
+		{"sched.pick_calls.KPB", "count"}, {"sched.pick_ms.KPB", "ms"},
+		{"sim.events", "count"}, {"sim.self_ms", "ms"}, {"sim.event_p50_us", "us"}, {"sim.event_p99_us", "us"},
+		{"workload.next_calls", "count"}, {"workload.next_ms", "ms"},
+		{"core.dropped_reactive", "count"}, {"core.dropped_proactive", "count"}, {"core.deferrals", "count"},
+		{"scenario.compile_ms", "ms"}, {"scenario.trial_p50_ms", "ms"}, {"scenario.trial_max_ms", "ms"},
+		{"scenario.parallel_eff", "ratio"},
+		{"service.handler_p50_us", "us"}, {"service.handler_p99_us", "us"}, {"service.transport_p50_us", "us"},
+		{"service.queue_wait_ms", "ms"}, {"service.job_run_ms", "ms"},
+		{"admission.decide_us", "us"}, {"admission.replay_decide_ns", "ns"}, {"admission.accept_ratio", "ratio"},
+		{"admission.evictions", "count"}, {"admission.stale_completions", "count"},
+		{"store.gets", "count"}, {"store.get_us", "us"}, {"store.puts", "count"}, {"store.put_ms", "ms"},
+		{"store.hit_ratio", "ratio"},
+		{"tenant.rejected", "count"},
+		{"decide_p50_us.low", "us"}, {"decide_p50_us.high", "us"}, {"decide_p99_us.low", "us"},
+		{"decide_p99_us.high", "us"}, {"decide_max_rps", "1/s"}, {"gen.lag_p99_ms", "ms"},
+		{"job_hit_p50_ms", "ms"}, {"job_miss_p50_ms", "ms"}, {"job_miss_p90_ms", "ms"}, {"job_hit_p99_ms", "ms"},
+		{"trace.overhead_pct", "%"},
+	}...)
+}
+
+// complete checks the run's metrics against the declared ones: each must
+// be declared with the unit it was recorded in, and an untraced run must
+// have recorded every end-to-end metric. A traced run records 0 for every
+// per-layer metric its workload did not reach, and returns their names.
+func (r *report) complete() (unreached []string, err error) {
+	want := endToEnd
+	if r.traced {
+		want = perLayer()
+	}
+	units := map[string]string{}
+	for _, m := range want {
+		units[m.name] = m.unit
+	}
+	for name, m := range r.metrics {
+		if u, ok := units[name]; !ok || u != m.Unit {
+			return nil, fmt.Errorf("metric %s (%s) is not declared with that unit", name, m.Unit)
+		}
+	}
+	for _, m := range want {
+		if _, ok := r.metrics[m.name]; ok {
+			continue
+		}
+		if !r.traced {
+			return nil, fmt.Errorf("end-to-end metric %s was not measured", m.name)
+		}
+		r.metrics[m.name] = metric{Unit: m.unit}
+		unreached = append(unreached, m.name)
+	}
+	return unreached, nil
+}
+
 // runCtx is what every workload receives.
 type runCtx struct {
 	seed    uint64
@@ -207,6 +286,14 @@ func main() {
 		os.Exit(1)
 	}
 	rc.rep.e2e("peak_rss_mb", "MB", rss)
+	unreached, err := rc.rep.complete()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "perfbench:", err)
+		os.Exit(1)
+	}
+	if len(unreached) > 0 {
+		note("layers this workload does not reach, reported as 0: %v", unreached)
+	}
 	out, err := json.Marshal(struct {
 		Correct   bool              `json:"correct"`
 		Attempted int64             `json:"attempted"`

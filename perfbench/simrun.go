@@ -100,9 +100,11 @@ func runSim(rc *runCtx, name string, gen func(seed uint64) []scenario.Cell) erro
 	}
 	rob /= float64(len(plain[0].robustness))
 	note("%s: %d repetitions of %d trials, %d tasks each, median %.3fs", name, len(plain), len(plain[0].digests), plain[0].tasks, median(walls))
-	rc.rep.e2e("tasks_per_s", "1/s", median(rates))
+	// An op is a simulated task; a call is one Engine.Sweep of the cells.
+	rc.rep.e2e("ops_per_s", "1/s", median(rates))
+	rc.rep.e2e("call_p50_ms", "ms", median(walls)*1e3)
 	rc.rep.e2e("robustness_pct", "%", rob)
-	rc.rep.e2e("alloc_bytes_per_task", "B", float64(alloc)/float64(tasks))
+	rc.rep.e2e("alloc_bytes_per_op", "B", float64(alloc)/float64(tasks))
 	if !rc.traced() {
 		return nil
 	}
