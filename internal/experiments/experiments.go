@@ -120,6 +120,9 @@ func Run(name string, opt Options) (*FigureResult, error) {
 type harness struct {
 	opt Options
 	eng *scenario.Engine
+	// swept keeps every cell outcome of the figure in sweep order, so tests
+	// can pin the per-trial Results behind the reported rows.
+	swept []scenario.CellResult
 }
 
 // point pins one configuration of a paper sweep in the figures' native
@@ -187,7 +190,9 @@ func (h *harness) cell(series, x string, p point) scenario.Cell {
 
 // sweep resolves a figure's cells through the shared engine.
 func (h *harness) sweep(cells []scenario.Cell) ([]scenario.CellResult, error) {
-	return h.eng.Sweep(cells)
+	res, err := h.eng.Sweep(cells)
+	h.swept = append(h.swept, res...)
+	return res, err
 }
 
 // robustnessRows runs a figure's cells and lowers each outcome to a plain
