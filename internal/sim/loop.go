@@ -28,7 +28,10 @@ func (s *simulator) emitChance(kind TraceKind, t *task.Task, mach int, onTime bo
 	})
 }
 
-func (s *simulator) run() (*Result, error) {
+// run is the event loop: it pulls tasks from src one at a time, racing the
+// next arrival against the event queue head, and runs a mapping event after
+// every arrival, completion and platform event.
+func (s *simulator) run(src TaskSource) (*Result, error) {
 	// Borrow a PMF buffer pool for the whole trial: every convolution of
 	// every machine reuses buffers, and sweeps recycle them across trials.
 	s.scratch = pmf.GetScratch()
@@ -42,50 +45,83 @@ func (s *simulator) run() (*Result, error) {
 	for _, m := range s.machines {
 		m.SetScratch(s.scratch)
 	}
-	// Platform events are pushed before arrivals so that at equal
-	// timestamps the platform change pops first (FIFO tie-break): a machine
-	// failing at time t never executes a task arriving at t.
 	for i, pe := range s.cfg.Events {
 		s.events.Push(eventq.Event{Time: pe.Time, Kind: eventq.KindPlatform, TaskID: i, Machine: -1})
 	}
-	for _, t := range s.tasks {
-		t.Status = task.StatusUnarrived
+	st := &s.stream
+	st.src = src
+	st.rec, _ = src.(TaskRecycler)
+	st.pending = make(map[int]outcome)
+	if err := s.pullArrival(); err != nil {
+		return nil, err
+	}
+	for {
+		// Race the pending arrival against the queue head. At equal times a
+		// platform event goes first (a machine failing at t never executes
+		// a task arriving at t) and a completion goes last.
+		useQueue := false
+		if st.nextArr == nil {
+			if s.events.Len() == 0 {
+				break
+			}
+			useQueue = true
+		} else if s.events.Len() > 0 {
+			head := s.events.Peek()
+			if head.Time < st.nextArr.Arrival ||
+				(head.Time == st.nextArr.Arrival && head.Kind == eventq.KindPlatform) {
+				useQueue = true
+			}
+		}
+		if useQueue {
+			e := s.events.Pop()
+			if s.cfg.Clock != nil {
+				s.cfg.Clock.Advance(e.Time)
+			}
+			s.now = e.Time
+			switch e.Kind {
+			case eventq.KindCompletion:
+				if e.Gen != s.gen[e.Machine] {
+					// Stale: the machine failed after scheduling this
+					// completion and the task was requeued.
+					continue
+				}
+				s.handleCompletion(e.Machine)
+			case eventq.KindPlatform:
+				s.handlePlatform(s.cfg.Events[e.TaskID])
+			}
+			s.mappingEvent(nil)
+			continue
+		}
+		t := st.nextArr
+		st.nextArr = nil
+		if s.cfg.Clock != nil {
+			s.cfg.Clock.Advance(t.Arrival)
+		}
+		s.now = t.Arrival
+		st.arrived++
+		// Reset the simulator-owned fields, so a materialized workload can
+		// be run again; arena-fresh tasks are already in this state.
+		t.Status = task.StatusBatchQueued
 		t.Machine = -1
 		t.Start, t.Completion = 0, 0
 		t.Deferrals = 0
 		t.Mark = 0
-		s.events.Push(eventq.Event{Time: t.Arrival, Kind: eventq.KindArrival, TaskID: t.ID, Machine: -1})
-	}
-	for s.events.Len() > 0 {
-		e := s.events.Pop()
-		if s.cfg.Clock != nil {
-			s.cfg.Clock.Advance(e.Time)
-		}
-		s.now = e.Time
+		s.emit(TraceArrived, t, -1, false)
 		var arrived *task.Task
-		switch e.Kind {
-		case eventq.KindArrival:
-			t := s.tasks[e.TaskID]
-			t.Status = task.StatusBatchQueued
-			s.emit(TraceArrived, t, -1, false)
-			if s.cfg.Mode == BatchMode {
-				s.batch = append(s.batch, t)
-			} else {
-				arrived = t
-			}
-		case eventq.KindCompletion:
-			if e.Gen != s.gen[e.Machine] {
-				// The machine failed after scheduling this completion; the
-				// task was orphaned and requeued. Nothing happened now.
-				continue
-			}
-			s.handleCompletion(e.Machine)
-		case eventq.KindPlatform:
-			s.handlePlatform(s.cfg.Events[e.TaskID])
+		if s.cfg.Mode == BatchMode {
+			s.batch = append(s.batch, t)
+		} else {
+			arrived = t
 		}
 		s.mappingEvent(arrived)
+		s.drainOutcomes()
+		if err := s.pullArrival(); err != nil {
+			return nil, err
+		}
 	}
-	s.finalize()
+	if err := s.finalize(); err != nil {
+		return nil, err
+	}
 	if err := s.res.conservationError(); err != nil {
 		panic(err) // invariant violation: a simulator bug, not bad input
 	}
@@ -112,16 +148,12 @@ func (s *simulator) handleCompletion(j int) {
 }
 
 // retire processes a task the moment its outcome is final: it feeds the
-// optional fixed-size aggregates and — on the streaming path — tallies the
-// outcome and hands the struct back to the source for reuse. The task must
-// no longer be referenced by any queue. On the materialized path (other
-// than aggregation) it is a no-op: finalize scans the task slice instead.
+// optional fixed-size aggregates, tallies the outcome and hands the struct
+// back to the source for reuse. The task must no longer be referenced by
+// any queue.
 func (s *simulator) retire(t *task.Task) {
 	if s.cfg.Aggregates != nil {
 		s.cfg.Aggregates.observe(t, s.now)
-	}
-	if s.stream == nil {
-		return
 	}
 	s.recordOutcome(t)
 }
@@ -346,56 +378,4 @@ func (s *simulator) totalFreeSlots() int {
 		}
 	}
 	return free
-}
-
-// finalize resolves tasks still queued when the event stream dries up (they
-// can never run: no event will ever map or start them) and computes the
-// counted-window statistics.
-func (s *simulator) finalize() {
-	for _, t := range s.tasks {
-		if t.Status == task.StatusBatchQueued || t.Status == task.StatusMachineQueued {
-			if t.Missed(s.now) {
-				t.Status = task.StatusDroppedReactive
-			}
-			if s.cfg.Aggregates != nil {
-				s.cfg.Aggregates.observe(t, s.now)
-			}
-		}
-	}
-	lo := s.cfg.ExcludeBoundary
-	hi := len(s.tasks) - s.cfg.ExcludeBoundary
-	s.res.TotalTasks = len(s.tasks)
-	for _, t := range s.tasks {
-		if t.ID < lo || t.ID >= hi {
-			continue
-		}
-		s.res.Counted++
-		value := t.Value
-		if value <= 0 {
-			value = 1
-		}
-		s.res.ValueTotal += value
-		switch t.Status {
-		case task.StatusCompletedOnTime:
-			s.res.OnTime++
-			s.res.ValueOnTime += value
-			s.res.PerTypeOnTime[t.Type]++
-		case task.StatusCompletedLate:
-			s.res.Late++
-		case task.StatusDroppedReactive:
-			s.res.DroppedReactive++
-			s.res.PerTypeDropped[t.Type]++
-		case task.StatusDroppedProactive:
-			s.res.DroppedProactive++
-			s.res.PerTypeDropped[t.Type]++
-		default:
-			s.res.Unfinished++
-		}
-	}
-	if s.res.Counted > 0 {
-		s.res.Robustness = 100 * float64(s.res.OnTime) / float64(s.res.Counted)
-	}
-	if s.res.ValueTotal > 0 {
-		s.res.WeightedRobustness = 100 * s.res.ValueOnTime / s.res.ValueTotal
-	}
 }

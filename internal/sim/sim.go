@@ -110,10 +110,11 @@ type Config struct {
 	Aggregates *TaskAggregates
 }
 
-// TaskSource yields the tasks of one trial in arrival order. RunStream
-// requires IDs to be assigned sequentially from 0 in yield order (the
-// counted-window tally folds outcomes in ID order); workload.Source
-// satisfies this by construction.
+// TaskSource yields the tasks of one trial. The simulator requires non-nil
+// tasks with IDs assigned sequentially from 0 in yield order (the
+// counted-window tally folds outcomes in ID order) and non-decreasing
+// arrival times, and stops the trial with an error otherwise;
+// workload.Source satisfies this by construction.
 type TaskSource interface {
 	Next() (*task.Task, bool)
 }
@@ -384,45 +385,57 @@ func (r *Result) conservationError() error {
 	return nil
 }
 
-// Run executes one simulation over the given materialized workload. The
-// task structs are reset and mutated in place (generate a fresh workload per
-// run if you need the originals). It returns an error for configuration
-// mistakes; invariant violations panic, as they indicate bugs, not bad
+// Run executes one simulation over the given materialized workload, through
+// the same event loop as RunStream. The tasks must be in arrival order with
+// IDs 0..len(tasks)-1 (the TaskSource contract): a non-sequential ID, a nil
+// task or a decreasing arrival time returns an error — Run consumes the
+// slice in order and does not sort it. The task structs are reset and
+// mutated in place and stay readable afterwards (generate a fresh workload
+// per run if you need the originals). Configuration mistakes, including an
+// ExcludeBoundary too large for len(tasks), return an error before any task
+// is simulated; invariant violations panic, as they indicate bugs, not bad
 // input. For memory-bounded trials over large workloads, use RunStream.
 func Run(matrix *pet.Matrix, tasks []*task.Task, cfg Config) (*Result, error) {
-	s, err := newSimulator(matrix, tasks, cfg)
+	s, err := newSimulator(matrix, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return s.run()
+	n := len(tasks)
+	if cfg.AutoExcludeBoundary && cfg.ExcludeBoundary >= 0 && n <= 2*cfg.ExcludeBoundary+1 {
+		s.cfg.ExcludeBoundary = n / 4
+	}
+	if s.cfg.ExcludeBoundary < 0 || 2*s.cfg.ExcludeBoundary >= n {
+		return nil, fmt.Errorf("sim: ExcludeBoundary %d out of range for %d tasks", s.cfg.ExcludeBoundary, n)
+	}
+	return s.run(&sliceSource{tasks: tasks})
 }
 
 // RunStream executes one simulation pulling tasks incrementally from src,
 // with memory bounded by the in-flight window plus fixed aggregator state —
-// never by the total task count. The Result is bitwise-identical to Run on
-// the materialized equivalent of the same source. If src implements
-// TaskRecycler, every task is handed back the moment its outcome is
-// tallied. It returns ErrNoTasks (wrapped) when the source yields nothing.
+// never by the total task count. It learns the task total only when src
+// dries up, so an ExcludeBoundary too large for the workload is reported
+// (or, with AutoExcludeBoundary, clamped) at the end of the trial. If src
+// implements TaskRecycler, every task is handed back the moment its outcome
+// is tallied. A source that breaks the TaskSource contract stops the trial
+// with an error. It returns ErrNoTasks (wrapped) when the source yields
+// nothing.
 func RunStream(matrix *pet.Matrix, src TaskSource, cfg Config) (*Result, error) {
 	if src == nil {
 		return nil, fmt.Errorf("sim: nil task source")
 	}
-	s, err := newSimCore(matrix, cfg)
+	s, err := newSimulator(matrix, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if s.cfg.ExcludeBoundary < 0 {
 		return nil, fmt.Errorf("sim: ExcludeBoundary %d must be non-negative", s.cfg.ExcludeBoundary)
 	}
-	rec, _ := src.(TaskRecycler)
-	s.stream = &streamState{src: src, rec: rec, pending: make(map[int]outcome)}
-	return s.runStream()
+	return s.run(src)
 }
 
 type simulator struct {
 	matrix   *pet.Matrix
 	cfg      Config
-	tasks    []*task.Task
 	machines []*machine.Machine
 	batch    []*task.Task // arrival queue (batch mode)
 	imm      sched.Immediate
@@ -432,7 +445,7 @@ type simulator struct {
 	now      float64
 
 	// scratch recycles PMF buffers across every convolution of the trial;
-	// it is borrowed from the process-wide pool for the duration of run().
+	// it is borrowed from the process-wide pool for the duration of run.
 	scratch *pmf.Scratch
 	// ctx is the reusable heuristic context (only Now changes per event).
 	ctx sched.Context
@@ -441,9 +454,8 @@ type simulator struct {
 	// durRNG is the reusable execution-time sampler, reseeded per task start
 	// (see sampleDuration).
 	durRNG *randx.RNG
-	// stream is the incremental-consumption state; nil on the materialized
-	// Run path.
-	stream *streamState
+	// stream is the task-source and outcome-tally state.
+	stream streamState
 
 	// Platform-event state. gen[j] is machine j's generation: bumped on
 	// every failure so completion events scheduled before the failure pop
@@ -465,27 +477,10 @@ type stretchKey struct {
 	factorBits  uint64
 }
 
-// newSimulator builds the materialized-path simulator over a task slice.
-func newSimulator(matrix *pet.Matrix, tasks []*task.Task, cfg Config) (*simulator, error) {
-	s, err := newSimCore(matrix, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.AutoExcludeBoundary && cfg.ExcludeBoundary >= 0 && len(tasks) <= 2*cfg.ExcludeBoundary+1 {
-		s.cfg.ExcludeBoundary = len(tasks) / 4
-	}
-	if s.cfg.ExcludeBoundary < 0 || 2*s.cfg.ExcludeBoundary >= len(tasks) {
-		return nil, fmt.Errorf("sim: ExcludeBoundary %d out of range for %d tasks", s.cfg.ExcludeBoundary, len(tasks))
-	}
-	s.tasks = tasks
-	return s, nil
-}
-
-// newSimCore builds everything both the materialized and the streaming path
-// share: machine set, heuristic wiring, pruner, platform-event validation.
-// ExcludeBoundary is validated by the callers — the streaming path learns
-// the task total only at the end of the trial.
-func newSimCore(matrix *pet.Matrix, cfg Config) (*simulator, error) {
+// newSimulator validates cfg and builds the machine set, heuristic wiring
+// and pruner of one trial. ExcludeBoundary is validated by the callers:
+// RunStream learns the task total only at the end of the trial.
+func newSimulator(matrix *pet.Matrix, cfg Config) (*simulator, error) {
 	if matrix == nil {
 		return nil, fmt.Errorf("sim: nil PET matrix")
 	}

@@ -3,31 +3,21 @@ package sim
 import (
 	"fmt"
 
-	"prunesim/internal/eventq"
-	"prunesim/internal/pmf"
 	"prunesim/internal/task"
 )
 
-// The streaming path: RunStream pulls tasks from a TaskSource one at a time
-// and retires each the moment its outcome is final, so a trial's live memory
-// is O(in-flight tasks + fixed aggregator state) instead of O(total tasks).
+// The task stream: run pulls tasks from a TaskSource one at a time and
+// retires each the moment its outcome is final, so a trial's live memory is
+// O(in-flight tasks + fixed aggregator state) instead of O(total tasks).
+// Run feeds a materialized workload through the same loop via sliceSource.
 //
-// Two invariants make the Result bitwise-identical to the materialized Run:
-//
-//  1. Event order. Run pushes platform events first and all arrivals second
-//     at init (completions join during the run), so its (time, insertion)
-//     heap resolves an equal-time tie as platform < arrival < completion.
-//     The streaming loop reproduces this with a one-task lookahead racing
-//     the queue head: an arrival at the queue head's timestamp goes first
-//     unless the head is a platform event.
-//
-//  2. Tally order. Run's finalize accumulates the counted window's floats
-//     (ValueTotal, ValueOnTime) by ascending task ID. The streaming tally
-//     buffers out-of-order outcomes in a small pending map and folds them
-//     in strictly increasing ID order, holding back IDs near the trailing
-//     exclusion boundary until enough later arrivals prove them inside the
-//     window. The map holds at most the out-of-order window plus
-//     ExcludeBoundary stalled entries — never the whole workload.
+// The counted-window tally accumulates the Result's floats (ValueTotal,
+// ValueOnTime) in ascending task ID order, whatever order outcomes arrive
+// in: that fixed float summation order is what the goldens pin. Outcomes
+// that finish out of ID order wait in a small pending map, and IDs near the
+// trailing exclusion boundary are held back until enough later arrivals
+// prove them inside the window. The map holds at most the out-of-order
+// window plus ExcludeBoundary stalled entries — never the whole workload.
 
 // outcome is the fixed-size record of one finished task — everything the
 // counted-window tally needs after the struct is recycled.
@@ -37,7 +27,7 @@ type outcome struct {
 	value  float64
 }
 
-// streamState is the incremental-consumption state of one RunStream trial.
+// streamState is the task-stream state of one trial.
 type streamState struct {
 	src TaskSource
 	rec TaskRecycler // src's recycler, nil if it has none
@@ -54,11 +44,14 @@ type streamState struct {
 // pullArrival advances the lookahead, enforcing the source contract: IDs
 // sequential from 0 in yield order, arrival times non-decreasing.
 func (s *simulator) pullArrival() error {
-	st := s.stream
+	st := &s.stream
 	t, ok := st.src.Next()
 	if !ok {
 		st.nextArr = nil
 		return nil
+	}
+	if t == nil {
+		return fmt.Errorf("sim: task source yielded a nil task at position %d", st.pulled)
 	}
 	if t.ID != st.pulled {
 		return fmt.Errorf("sim: task source yielded ID %d, want %d (IDs must be sequential in arrival order)", t.ID, st.pulled)
@@ -75,7 +68,7 @@ func (s *simulator) pullArrival() error {
 // recordOutcome captures a task's final outcome, recycles the struct if the
 // source reuses tasks, and folds whatever the window now allows.
 func (s *simulator) recordOutcome(t *task.Task) {
-	st := s.stream
+	st := &s.stream
 	st.pending[t.ID] = outcome{status: t.Status, typ: t.Type, value: t.Value}
 	if st.rec != nil {
 		st.rec.Recycle(t)
@@ -88,13 +81,13 @@ func (s *simulator) recordOutcome(t *task.Task) {
 // once its window membership is certain:
 //
 //   - maxArrived >= 2*lo+1 proves the final total exceeds 2*lo+1, so the
-//     effective boundary is exactly the configured one (finalizeStream's
+//     effective boundary is exactly the configured one (finalize's
 //     small-workload clamp can no longer fire), and
 //   - id <= maxArrived-lo proves id < total-lo whatever the final total is.
 //
-// Everything else waits for finalizeStream's exact-total drain.
+// Everything else waits for finalize's exact-total drain.
 func (s *simulator) drainOutcomes() {
-	st := s.stream
+	st := &s.stream
 	lo := s.cfg.ExcludeBoundary
 	maxID := st.arrived - 1
 	if maxID < 2*lo+1 {
@@ -113,8 +106,7 @@ func (s *simulator) drainOutcomes() {
 	}
 }
 
-// tallyOutcome adds one counted-window outcome to the Result, mirroring
-// finalize's per-task accounting exactly.
+// tallyOutcome adds one counted-window outcome to the Result.
 func (s *simulator) tallyOutcome(o outcome) {
 	s.res.Counted++
 	value := o.value
@@ -140,133 +132,32 @@ func (s *simulator) tallyOutcome(o outcome) {
 	}
 }
 
-// runStream is run() for the incremental path.
-func (s *simulator) runStream() (*Result, error) {
-	s.scratch = pmf.GetScratch()
-	defer func() {
-		for _, m := range s.machines {
-			m.SetScratch(nil)
-		}
-		pmf.PutScratch(s.scratch)
-		s.scratch = nil
-	}()
-	for _, m := range s.machines {
-		m.SetScratch(s.scratch)
-	}
-	for i, pe := range s.cfg.Events {
-		s.events.Push(eventq.Event{Time: pe.Time, Kind: eventq.KindPlatform, TaskID: i, Machine: -1})
-	}
-	st := s.stream
-	if err := s.pullArrival(); err != nil {
-		return nil, err
-	}
-	for {
-		// Race the pending arrival against the queue head (equal-time tie:
-		// platform first, completion last — see the file comment).
-		useQueue := false
-		if st.nextArr == nil {
-			if s.events.Len() == 0 {
-				break
-			}
-			useQueue = true
-		} else if s.events.Len() > 0 {
-			head := s.events.Peek()
-			if head.Time < st.nextArr.Arrival ||
-				(head.Time == st.nextArr.Arrival && head.Kind == eventq.KindPlatform) {
-				useQueue = true
-			}
-		}
-		if useQueue {
-			e := s.events.Pop()
-			if s.cfg.Clock != nil {
-				s.cfg.Clock.Advance(e.Time)
-			}
-			s.now = e.Time
-			switch e.Kind {
-			case eventq.KindCompletion:
-				if e.Gen != s.gen[e.Machine] {
-					// Stale: the machine failed after scheduling this
-					// completion and the task was requeued.
-					continue
-				}
-				s.handleCompletion(e.Machine)
-			case eventq.KindPlatform:
-				s.handlePlatform(s.cfg.Events[e.TaskID])
-			}
-			s.mappingEvent(nil)
-			continue
-		}
-		t := st.nextArr
-		st.nextArr = nil
-		if s.cfg.Clock != nil {
-			s.cfg.Clock.Advance(t.Arrival)
-		}
-		s.now = t.Arrival
-		st.arrived++
-		// Mirror the materialized path's per-task reset; arena-fresh tasks
-		// are already in this state.
-		t.Status = task.StatusBatchQueued
-		t.Machine = -1
-		t.Start, t.Completion = 0, 0
-		t.Deferrals = 0
-		t.Mark = 0
-		s.emit(TraceArrived, t, -1, false)
-		var arrived *task.Task
-		if s.cfg.Mode == BatchMode {
-			s.batch = append(s.batch, t)
-		} else {
-			arrived = t
-		}
-		s.mappingEvent(arrived)
-		s.drainOutcomes()
-		if err := s.pullArrival(); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.finalizeStream(); err != nil {
-		return nil, err
-	}
-	if err := s.res.conservationError(); err != nil {
-		panic(err) // invariant violation: a simulator bug, not bad input
-	}
-	return &s.res, nil
-}
-
-// finalizeStream resolves tasks still queued when the event stream dries up
-// (mirroring finalize: no pruner accounting, no trace events) and drains the
-// tally with the now-known task total.
-func (s *simulator) finalizeStream() error {
+// finalize resolves tasks still queued when the event stream dries up (they
+// can never run: no event will ever map or start them; no pruner accounting,
+// no trace events) and drains the tally with the now-known task total.
+func (s *simulator) finalize() error {
 	for _, t := range s.batch {
 		if t.Missed(s.now) {
 			t.Status = task.StatusDroppedReactive
 		}
-		if s.cfg.Aggregates != nil {
-			s.cfg.Aggregates.observe(t, s.now)
-		}
-		s.recordOutcome(t)
+		s.retire(t)
 	}
 	s.batch = s.batch[:0]
 	for _, m := range s.machines {
 		if t := m.Running(); t != nil {
 			// Unreachable on a conforming event stream (a running task
 			// always has a live completion event), kept for conservation.
-			if s.cfg.Aggregates != nil {
-				s.cfg.Aggregates.observe(t, s.now)
-			}
-			s.recordOutcome(t)
+			s.retire(t)
 		}
 		for _, e := range m.Pending() {
 			t := e.Task
 			if t.Missed(s.now) {
 				t.Status = task.StatusDroppedReactive
 			}
-			if s.cfg.Aggregates != nil {
-				s.cfg.Aggregates.observe(t, s.now)
-			}
-			s.recordOutcome(t)
+			s.retire(t)
 		}
 	}
-	st := s.stream
+	st := &s.stream
 	total := st.arrived
 	if total == 0 {
 		return fmt.Errorf("%w", ErrNoTasks)
@@ -300,4 +191,21 @@ func (s *simulator) finalizeStream() error {
 		s.res.WeightedRobustness = 100 * s.res.ValueOnTime / s.res.ValueTotal
 	}
 	return nil
+}
+
+// sliceSource feeds a materialized workload to the event loop in slice
+// order. It does not implement TaskRecycler, so the task structs stay
+// readable after Run returns.
+type sliceSource struct {
+	tasks []*task.Task
+	next  int
+}
+
+func (s *sliceSource) Next() (*task.Task, bool) {
+	if s.next >= len(s.tasks) {
+		return nil, false
+	}
+	t := s.tasks[s.next]
+	s.next++
+	return t, true
 }

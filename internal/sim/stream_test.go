@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"prunesim/internal/core"
 	"prunesim/internal/sched"
@@ -14,175 +13,22 @@ import (
 	"prunesim/internal/workload"
 )
 
-// stubSource yields pre-materialized tasks — the smallest possible
-// TaskSource, with no recycling.
-type stubSource struct {
-	tasks []*task.Task
-	i     int
-}
-
-func (s *stubSource) Next() (*task.Task, bool) {
-	if s.i >= len(s.tasks) {
-		return nil, false
-	}
-	t := s.tasks[s.i]
-	s.i++
-	return t, true
-}
-
 // requireSameResult compares two Results field-for-field (bitwise on
-// floats — the equivalence the streaming path promises).
-func requireSameResult(t *testing.T, materialized, streamed *Result) {
+// floats).
+func requireSameResult(t *testing.T, a, b *Result) {
 	t.Helper()
-	if !reflect.DeepEqual(materialized, streamed) {
-		t.Fatalf("Run vs RunStream diverge:\nmaterialized: %+v\nstreamed:     %+v", materialized, streamed)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("results diverge:\n%+v\n%+v", a, b)
 	}
 }
 
-// streamWorkloadCfg is the common workload shape for the equivalence tests.
+// streamWorkloadCfg is the common workload shape for the streaming tests.
 func streamWorkloadCfg(n, trial int) workload.Config {
 	cfg := workload.DefaultConfig(n)
 	cfg.TimeSpan = 400
 	cfg.NumSpikes = 2
 	cfg.Trial = trial
 	return cfg
-}
-
-// runBoth executes the identical trial on both paths — Run over a fresh
-// materialized workload, RunStream over a fresh arena-backed Source — with
-// observers capturing the full trace, and returns both results + traces.
-// mkCfg must return a fresh Config per call: heuristics can be stateful
-// (RR's rotation cursor), so the two paths cannot share one instance.
-func runBoth(t *testing.T, wcfg workload.Config, mkCfg func() Config) (*Result, *Result, []TraceEvent, []TraceEvent) {
-	t.Helper()
-	var matTrace, strTrace []TraceEvent
-	matCfg := mkCfg()
-	matCfg.Observer = func(e TraceEvent) { matTrace = append(matTrace, e) }
-	tasks, err := workload.Generate(hcMatrix, wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matRes, err := Run(hcMatrix, tasks, matCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strCfg := mkCfg()
-	strCfg.Observer = func(e TraceEvent) { strTrace = append(strTrace, e) }
-	src, err := workload.NewSource(hcMatrix, wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strRes, err := RunStream(hcMatrix, src, strCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live := src.Live(); live != 0 {
-		t.Fatalf("source still holds %d live tasks after RunStream", live)
-	}
-	return matRes, strRes, matTrace, strTrace
-}
-
-// TestStreamMatchesRunProperty: across random heuristics, modes and pruning
-// configurations, RunStream over a streaming Source produces a Result and
-// trace bitwise-identical to Run over the materialized workload.
-func TestStreamMatchesRunProperty(t *testing.T) {
-	f := func(rr randomRun) bool {
-		if rr.heuristic == "FCFS-RR" || rr.heuristic == "EDF" || rr.heuristic == "SJF" {
-			// These need the homogeneous matrix; runBoth is wired to the HC
-			// fixture and the remaining heuristics cover both modes.
-			return true
-		}
-		if _, _, err := sched.ByName(rr.heuristic); err != nil {
-			return false
-		}
-		mode := BatchMode
-		if rr.immediate {
-			mode = ImmediateMode
-		}
-		mkCfg := func() Config {
-			h, _, _ := sched.ByName(rr.heuristic)
-			return Config{
-				Mode: mode, Heuristic: h, MachineTypes: hcMachines,
-				Slots: rr.slots, Prune: rr.prune, Seed: uint64(rr.trial) + 1,
-				ExcludeBoundary: 20,
-			}
-		}
-		matRes, strRes, matTrace, strTrace := runBoth(t, streamWorkloadCfg(rr.numTasks, rr.trial), mkCfg)
-		if !reflect.DeepEqual(matRes, strRes) {
-			t.Logf("%s: results diverge:\n%+v\n%+v", rr.heuristic, matRes, strRes)
-			return false
-		}
-		if !reflect.DeepEqual(matTrace, strTrace) {
-			t.Logf("%s: traces diverge (%d vs %d events)", rr.heuristic, len(matTrace), len(strTrace))
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStreamMatchesRunWithValues: value-aware pruning sums task values in ID
-// order; the streaming tally must reproduce the float accumulation exactly.
-func TestStreamMatchesRunWithValues(t *testing.T) {
-	wcfg := streamWorkloadCfg(1500, 2)
-	wcfg.ValueLo, wcfg.ValueHi = 0.5, 4
-	prune := core.DefaultConfig(12)
-	prune.ValueAware = true
-	prune.ValueRef = 2
-	mkCfg := func() Config {
-		return Config{
-			Mode: BatchMode, Heuristic: sched.NewMM(), MachineTypes: hcMachines,
-			Slots: 2, Prune: prune, Seed: 11, ExcludeBoundary: 50,
-		}
-	}
-	matRes, strRes, _, _ := runBoth(t, wcfg, mkCfg)
-	requireSameResult(t, matRes, strRes)
-	if matRes.ValueTotal == float64(matRes.Counted) {
-		t.Fatal("workload values did not vary; test exercises nothing")
-	}
-}
-
-// TestStreamMatchesRunWithPlatformEvents: failures, joins, degradations and
-// restores interleave with streamed arrivals exactly as with materialized
-// ones, including equal-time tie-breaks (platform before arrival).
-func TestStreamMatchesRunWithPlatformEvents(t *testing.T) {
-	for _, mode := range []struct {
-		name  string
-		mkCfg func() Config
-	}{
-		{"batch-MM", func() Config { return batchCfg(sched.NewMM(), core.DefaultConfig(12)) }},
-		{"immediate-MCT", func() Config { return immCfg(sched.NewMCT(), core.DefaultConfig(12)) }},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			mkCfg := func() Config {
-				cfg := mode.mkCfg()
-				cfg.Events = churnSchedule()
-				return cfg
-			}
-			matRes, strRes, matTrace, strTrace := runBoth(t, streamWorkloadCfg(2500, 5), mkCfg)
-			requireSameResult(t, matRes, strRes)
-			if !reflect.DeepEqual(matTrace, strTrace) {
-				t.Fatalf("traces diverge: %d vs %d events", len(matTrace), len(strTrace))
-			}
-			if matRes.PlatformEvents != len(churnSchedule()) {
-				t.Fatalf("executed %d platform events, want %d", matRes.PlatformEvents, len(churnSchedule()))
-			}
-		})
-	}
-}
-
-// TestStreamMatchesRunWithTailEps: PCT tail compression changes pruning
-// decisions, but both paths must change identically.
-func TestStreamMatchesRunWithTailEps(t *testing.T) {
-	mkCfg := func() Config {
-		cfg := batchCfg(sched.NewMM(), core.DefaultConfig(12))
-		cfg.TailEps = 0.01
-		return cfg
-	}
-	matRes, strRes, _, _ := runBoth(t, streamWorkloadCfg(1200, 4), mkCfg)
-	requireSameResult(t, matRes, strRes)
 }
 
 // TestStreamMemoryBounded: the arena's live count during the run stays far
@@ -219,56 +65,6 @@ func TestStreamMemoryBounded(t *testing.T) {
 	}
 }
 
-// TestStreamAggregatesMatchAcrossPaths: the optional fixed-size aggregates
-// observe every task with identical order-independent totals on both paths,
-// and identical response statistics (retirement order is identical mid-run).
-func TestStreamAggregatesMatchAcrossPaths(t *testing.T) {
-	wcfg := streamWorkloadCfg(1500, 3)
-
-	tasks, err := workload.Generate(hcMatrix, wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matCfg := batchCfg(sched.NewMM(), core.DefaultConfig(12))
-	matAgg := NewTaskAggregates(len(tasks), 10)
-	matCfg.Aggregates = matAgg
-	matRes, err := Run(hcMatrix, tasks, matCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	src, err := workload.NewSource(hcMatrix, wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	strCfg := batchCfg(sched.NewMM(), core.DefaultConfig(12))
-	strAgg := NewTaskAggregates(len(tasks), 10)
-	strCfg.Aggregates = strAgg
-	strRes, err := RunStream(hcMatrix, src, strCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, matRes, strRes)
-
-	ms, ss := matAgg.Timeline.Snapshot(), strAgg.Timeline.Snapshot()
-	if ms.Totals != ss.Totals {
-		t.Fatalf("aggregate totals diverge: %+v vs %+v", ms.Totals, ss.Totals)
-	}
-	if ms.Totals.Counted != matRes.TotalTasks {
-		t.Fatalf("aggregates saw %d tasks, want every one of %d", ms.Totals.Counted, matRes.TotalTasks)
-	}
-	if matAgg.Response.N() != strAgg.Response.N() || matAgg.Response.Mean() != strAgg.Response.Mean() {
-		t.Fatalf("response stats diverge: n %d/%d mean %v/%v",
-			matAgg.Response.N(), strAgg.Response.N(), matAgg.Response.Mean(), strAgg.Response.Mean())
-	}
-	if matAgg.QueueWait.N() != strAgg.QueueWait.N() || matAgg.QueueWait.Mean() != strAgg.QueueWait.Mean() {
-		t.Fatalf("queue-wait stats diverge")
-	}
-	if matAgg.RespP50.Value() <= 0 {
-		t.Fatal("response P50 estimator never observed anything")
-	}
-}
-
 // TestStreamAutoExcludeBoundary: small workloads clamp the boundary to
 // total/4 on both paths; without the flag both paths reject identically.
 func TestStreamAutoExcludeBoundary(t *testing.T) {
@@ -286,7 +82,7 @@ func TestStreamAutoExcludeBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strRes, err := RunStream(hcMatrix, &stubSource{tasks: mkTasks()}, cfg)
+	strRes, err := RunStream(hcMatrix, &sliceSource{tasks: mkTasks()}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +96,7 @@ func TestStreamAutoExcludeBoundary(t *testing.T) {
 	if _, err := Run(hcMatrix, mkTasks(), cfg); err == nil {
 		t.Fatal("Run accepted an out-of-range boundary")
 	}
-	_, err = RunStream(hcMatrix, &stubSource{tasks: mkTasks()}, cfg)
+	_, err = RunStream(hcMatrix, &sliceSource{tasks: mkTasks()}, cfg)
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("RunStream boundary error = %v", err)
 	}
@@ -312,7 +108,7 @@ func TestStreamErrNoTasks(t *testing.T) {
 	cfg := immCfg(sched.NewMCT(), core.Disabled(12))
 	cfg.ExcludeBoundary = 0
 	cfg.AutoExcludeBoundary = true
-	_, err := RunStream(hcMatrix, &stubSource{}, cfg)
+	_, err := RunStream(hcMatrix, &sliceSource{}, cfg)
 	if !errors.Is(err, ErrNoTasks) {
 		t.Fatalf("err = %v, want ErrNoTasks", err)
 	}
@@ -325,16 +121,21 @@ func TestStreamSourceContract(t *testing.T) {
 	cfg.ExcludeBoundary = 0
 	cfg.AutoExcludeBoundary = true
 
-	badID := &stubSource{tasks: []*task.Task{task.New(1, 0, 0, 50)}}
+	badID := &sliceSource{tasks: []*task.Task{task.New(1, 0, 0, 50)}}
 	if _, err := RunStream(hcMatrix, badID, cfg); err == nil || !strings.Contains(err.Error(), "sequential") {
 		t.Fatalf("non-sequential ID error = %v", err)
 	}
 
-	backwards := &stubSource{tasks: []*task.Task{
+	backwards := &sliceSource{tasks: []*task.Task{
 		task.New(0, 0, 10, 60), task.New(1, 0, 5, 55),
 	}}
 	if _, err := RunStream(hcMatrix, backwards, cfg); err == nil || !strings.Contains(err.Error(), "out of order") {
 		t.Fatalf("out-of-order arrival error = %v", err)
+	}
+
+	hole := &sliceSource{tasks: []*task.Task{task.New(0, 0, 0, 50), nil}}
+	if _, err := RunStream(hcMatrix, hole, cfg); err == nil || !strings.Contains(err.Error(), "nil task") {
+		t.Fatalf("nil task error = %v", err)
 	}
 
 	if _, err := RunStream(hcMatrix, nil, cfg); err == nil {
@@ -350,7 +151,7 @@ func TestStreamTailEpsValidation(t *testing.T) {
 		if _, err := Run(hcMatrix, smallWorkload(100, 0), cfg); err == nil {
 			t.Fatalf("Run accepted TailEps %v", eps)
 		}
-		if _, err := RunStream(hcMatrix, &stubSource{tasks: smallWorkload(100, 0)}, cfg); err == nil {
+		if _, err := RunStream(hcMatrix, &sliceSource{tasks: smallWorkload(100, 0)}, cfg); err == nil {
 			t.Fatalf("RunStream accepted TailEps %v", eps)
 		}
 	}

@@ -187,7 +187,8 @@ func WritePETPMF(out io.Writer, m *pet.Matrix, taskType, machineType int) error 
 
 // ReadTasks parses a workload CSV previously written by WriteTasks back
 // into tasks — the import path for externally produced or archived trials.
-// Rows must be sorted by ID; values and statuses reset to defaults.
+// Rows must be sorted by ID with non-decreasing arrival times (the order
+// the simulator consumes tasks in); values and statuses reset to defaults.
 func ReadTasks(in io.Reader) ([]*task.Task, error) {
 	r := csv.NewReader(in)
 	header, err := r.Read()
@@ -233,6 +234,9 @@ func ReadTasks(in io.Reader) ([]*task.Task, error) {
 		}
 		if dl < arr {
 			return nil, fmt.Errorf("trace: line %d: deadline %v before arrival %v", line, dl, arr)
+		}
+		if n := len(tasks); n > 0 && arr < tasks[n-1].Arrival {
+			return nil, fmt.Errorf("trace: line %d: arrival %v before the previous arrival %v", line, arr, tasks[n-1].Arrival)
 		}
 		tasks = append(tasks, task.New(id, typ, arr, dl))
 	}

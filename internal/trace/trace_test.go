@@ -368,3 +368,15 @@ func TestReadTasksErrors(t *testing.T) {
 		}
 	}
 }
+
+func TestReadTasksRejectsDecreasingArrival(t *testing.T) {
+	in := "id,type,arrival,deadline\n0,0,1,9\n1,0,3,9\n2,0,2,9\n"
+	_, err := ReadTasks(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "line 4: arrival 2 before the previous arrival 3") {
+		t.Fatalf("err = %v, want a line-4 arrival-order error", err)
+	}
+	equal := "id,type,arrival,deadline\n0,0,1,9\n1,0,1,9\n"
+	if _, err := ReadTasks(strings.NewReader(equal)); err != nil {
+		t.Fatalf("equal arrivals rejected: %v", err)
+	}
+}

@@ -96,7 +96,9 @@ func (p *Platform) Config() PlatformConfig { return p.cfg }
 
 // Run simulates the platform over the given workload. Task structs are
 // mutated in place (statuses, start/completion times); generate a fresh
-// workload per run to compare configurations.
+// workload per run to compare configurations. The tasks must be in arrival
+// order with IDs 0..len(tasks)-1, as GenerateWorkload returns them; a
+// workload that breaks this returns an error instead of being reordered.
 func (p *Platform) Run(tasks []*Task) (*Result, error) {
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("prunesim: empty workload")
@@ -135,10 +137,11 @@ func (p *Platform) RunTrial(wcfg WorkloadConfig, trial int) (*Result, error) {
 // RunStream simulates the platform over a streaming workload source with
 // memory bounded by the in-flight task window plus fixed per-machine state —
 // never by the total task count. Tasks are recycled into the source's arena
-// the moment their outcome is tallied. On workloads large enough that
-// ExcludeBoundary needs no clamping, the Result is bitwise-identical to Run
-// over the materialized equivalent (tiny workloads clamp the boundary
-// slightly differently: n/4 here versus Run's (n-1)/2).
+// the moment their outcome is tallied. Run and RunStream share one event
+// loop, so on workloads large enough that ExcludeBoundary needs no
+// clamping, the Result is bitwise-identical to Run over the materialized
+// equivalent (tiny workloads clamp the boundary differently: n/4 here
+// versus Run's (n-1)/2).
 func (p *Platform) RunStream(src *WorkloadSource) (*Result, error) {
 	h, _, err := sched.ByName(p.cfg.Heuristic) // fresh instance per run
 	if err != nil {

@@ -2,6 +2,7 @@ package prunesim_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"prunesim"
@@ -79,6 +80,47 @@ func TestPlatformEmptyWorkload(t *testing.T) {
 	}
 	if _, err := p.Run(nil); err == nil {
 		t.Fatal("empty workload accepted")
+	}
+}
+
+// TestPlatformRejectsMalformedWorkloads: a task slice that breaks the
+// task-source contract (sequential IDs, non-decreasing arrivals, no nil
+// entries) returns an error from Run in either allocation mode; it never
+// panics and is never silently reordered.
+func TestPlatformRejectsMalformedWorkloads(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(tasks []*prunesim.Task)
+		want    string
+	}{
+		{"id-out-of-range", func(ts []*prunesim.Task) { ts[3].ID = 999 }, "want 3"},
+		{"id-repeated", func(ts []*prunesim.Task) { ts[4].ID = 3 }, "want 4"},
+		{"ids-swapped", func(ts []*prunesim.Task) { ts[2].ID, ts[5].ID = 5, 2 }, "want 2"},
+		{"arrival-decreasing", func(ts []*prunesim.Task) { ts[6].Arrival = ts[5].Arrival - 1 }, "out of order"},
+		{"arrivals-reversed", func(ts []*prunesim.Task) {
+			for i, j := 0, len(ts)-1; i < j; i, j = i+1, j-1 {
+				ts[i].Arrival, ts[j].Arrival = ts[j].Arrival, ts[i].Arrival
+			}
+		}, "out of order"},
+		{"nil-task", func(ts []*prunesim.Task) { ts[7] = nil }, "nil task"},
+	} {
+		for _, mode := range []prunesim.AllocationMode{prunesim.BatchAllocation, prunesim.ImmediateAllocation} {
+			t.Run(tc.name+"/"+mode.String(), func(t *testing.T) {
+				p, err := prunesim.NewPlatform(prunesim.PlatformConfig{Mode: mode, ExcludeBoundary: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tasks, err := prunesim.GenerateWorkload(p.Config().Matrix, prunesim.DefaultWorkload(48))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.corrupt(tasks)
+				res, err := p.Run(tasks)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("Run = %+v, %v; want an error containing %q", res, err, tc.want)
+				}
+			})
+		}
 	}
 }
 
