@@ -18,9 +18,10 @@
 //  5. chance test — ChanceIfEnqueued against the fairness- and
 //     value-adjusted threshold decides accept / defer / drop.
 //
-// The decision path is the simulator's own: the same machine, pruner and
-// sched primitives, called in the same order (the golden tests in
-// golden_test.go pin bitwise equivalence). Steady-state Decide+Complete
+// The decision path is the simulator's own: steps 1-3 are core.Sweep, the
+// very function the simulator's mapping event calls, and steps 4-5 use the
+// same machine, pruner and sched primitives in the same order (the golden
+// tests in golden_test.go pin bitwise equivalence). Steady-state Decide+Complete
 // cycles are allocation-free — task structs are recycled through a free
 // list, PMF buffers through the session's pmf.Scratch, and the eviction /
 // started-task report slices are session-owned and reused.
@@ -235,11 +236,9 @@ type Session struct {
 	evictBuf   []Eviction
 	startedBuf []int
 
-	// Predeclared DropPending predicates (closure allocation would defeat
-	// the zero-alloc decide path); they read sweepNow.
-	sweepNow      float64
-	dropMissed    func(machine.Entry) bool
-	dropLowChance func(machine.Entry) bool
+	// sweep is the Figure-5 preamble shared with the simulator; it records
+	// each task it drops as an eviction.
+	sweep *core.Sweep
 }
 
 // NewSession validates cfg and builds an idle session. Close must be called
@@ -303,11 +302,13 @@ func NewSession(cfg Config) (*Session, error) {
 		MeanExec: func(tt, j int) float64 { return matrix.MeanExec(tt, s.machines[j].TypeIndex()) },
 		Slots:    cfg.Slots,
 	}
-	s.dropMissed = func(e machine.Entry) bool { return e.Task.Missed(s.sweepNow) }
-	s.dropLowChance = func(e machine.Entry) bool {
-		chance := e.PCT.ProbLE(e.Task.Deadline)
-		return s.pruner.ShouldDropValued(chance, e.Task.Type, e.Task.Value)
-	}
+	s.sweep = core.NewSweep(s.pruner, func(t *task.Task, j int) {
+		reason := ReasonDeadlineMissed
+		if t.Status == task.StatusDroppedProactive {
+			reason = ReasonLowChance
+		}
+		s.evict(t, j, reason)
+	})
 	return s, nil
 }
 
@@ -405,35 +406,6 @@ func (s *Session) evict(t *task.Task, j int, reason string) {
 	}
 }
 
-// sweep is the preamble of every mapping event (Figure 5 steps 1-6, exactly
-// the simulator's order): reactive sweep, Toggle consult, proactive sweep.
-func (s *Session) sweep(now float64) {
-	s.sweepNow = now
-	for j, m := range s.machines {
-		if m.Down() {
-			continue
-		}
-		for _, t := range m.DropPending(now, s.dropMissed) {
-			t.Status = task.StatusDroppedReactive
-			s.pruner.RecordReactiveDrop(t.Type)
-			s.evict(t, j, ReasonDeadlineMissed)
-		}
-	}
-	s.pruner.BeginEvent()
-	if s.pruner.DroppingEngaged() {
-		for j, m := range s.machines {
-			if m.Down() {
-				continue
-			}
-			for _, t := range m.DropPending(now, s.dropLowChance) {
-				t.Status = task.StatusDroppedProactive
-				s.pruner.RecordProactiveDrop(t.Type)
-				s.evict(t, j, ReasonLowChance)
-			}
-		}
-	}
-}
-
 // start begins execution on every idle machine with pending work (the
 // client is expected to run a machine's queue head as soon as it is told
 // to) and records the started task IDs in the reused buffer.
@@ -461,7 +433,7 @@ func (s *Session) Decide(spec TaskSpec, now float64) (Decision, error) {
 	}
 	s.evictBuf = s.evictBuf[:0]
 	s.startedBuf = s.startedBuf[:0]
-	s.sweep(now)
+	s.sweep.Run(s.machines, now)
 	d := s.decideOne(spec, now)
 	d.Evicted = s.evictBuf
 	return d, nil
@@ -485,7 +457,7 @@ func (s *Session) DecideBatch(specs []TaskSpec, now float64) ([]Decision, error)
 	}
 	s.evictBuf = s.evictBuf[:0]
 	s.startedBuf = s.startedBuf[:0]
-	s.sweep(now)
+	s.sweep.Run(s.machines, now)
 	ds := make([]Decision, len(specs))
 	for i, spec := range specs {
 		ds[i] = s.decideOne(spec, now)
@@ -597,7 +569,7 @@ func (s *Session) Complete(taskID int, now float64) (Completion, error) {
 	s.recycle(done)
 	// A completion is a mapping event (Figure 5): sweep, then start the
 	// freed machine's next task.
-	s.sweep(now)
+	s.sweep.Run(s.machines, now)
 	s.start(now)
 	c.Started = s.startedBuf
 	c.Evicted = s.evictBuf

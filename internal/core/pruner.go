@@ -15,7 +15,9 @@
 // the Accounting module gathers the completion/drop/miss telemetry the other
 // modules consume. The file structure mirrors the paper's architecture:
 // toggle.go, fairness.go and accounting.go hold the three support modules;
-// this file holds the Pruner that composes them.
+// this file holds the Pruner that composes them; sweep.go holds the
+// machine-queue preamble of a mapping event (Figure 5 steps 1-6) that the
+// simulator and the admission service both run.
 package core
 
 import "fmt"
@@ -24,7 +26,7 @@ import "fmt"
 type Config struct {
 	// Enabled is the master switch. When false the pruner only performs the
 	// baseline behaviour every system in the paper has: reactive dropping of
-	// tasks that already missed their deadlines (handled by the simulator).
+	// tasks that already missed their deadlines (the first step of Sweep).
 	Enabled bool
 	// Threshold is the pruning threshold beta in [0, 1]: tasks whose chance
 	// of success is at or below the (fairness-adjusted) threshold are

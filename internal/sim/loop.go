@@ -162,11 +162,8 @@ func (s *simulator) retire(t *task.Task) {
 // mode, where the triggering arrival must be mapped within its own event.
 func (s *simulator) mappingEvent(arrived *task.Task) {
 	s.res.MappingEvents++
-	s.reactiveSweep()
-	s.pruner.BeginEvent()
-	if s.pruner.DroppingEngaged() {
-		s.proactiveDrop()
-	}
+	s.dropMissedArrivals()
+	s.sweep.Run(s.machines, s.now)
 	if s.cfg.Mode == ImmediateMode {
 		if arrived != nil {
 			s.batch = append(s.batch, arrived)
@@ -211,55 +208,41 @@ func (s *simulator) immediateMap() {
 	}
 }
 
-// reactiveSweep drops every queued task whose deadline has already passed
-// (Figure 5 step 1) — the baseline behaviour of the system, active with or
-// without the pruning mechanism.
-func (s *simulator) reactiveSweep() {
+// dropMissedArrivals drops every arrival-queue task whose deadline has
+// already passed — Figure 5 step 1 for the queue only the simulator has; the
+// shared core.Sweep then does the machine queues.
+func (s *simulator) dropMissedArrivals() {
 	// In immediate mode the arrival queue is non-empty only when platform
 	// events parked or requeued tasks; they age like batch-queued tasks.
-	if len(s.batch) > 0 {
-		kept := s.batch[:0]
-		for _, t := range s.batch {
-			if t.Missed(s.now) {
-				t.Status = task.StatusDroppedReactive
-				s.pruner.RecordReactiveDrop(t.Type)
-				s.emit(TraceDroppedReactive, t, -1, false)
-				s.retire(t)
-				continue
-			}
-			kept = append(kept, t)
-		}
-		for i := len(kept); i < len(s.batch); i++ {
-			s.batch[i] = nil
-		}
-		s.batch = kept
+	if len(s.batch) == 0 {
+		return
 	}
-	for _, m := range s.machines {
-		for _, t := range m.DropPending(s.now, func(e machine.Entry) bool {
-			return e.Task.Missed(s.now)
-		}) {
+	kept := s.batch[:0]
+	for _, t := range s.batch {
+		if t.Missed(s.now) {
 			t.Status = task.StatusDroppedReactive
 			s.pruner.RecordReactiveDrop(t.Type)
-			s.emit(TraceDroppedReactive, t, t.Machine, false)
+			s.emit(TraceDroppedReactive, t, -1, false)
 			s.retire(t)
+			continue
 		}
+		kept = append(kept, t)
 	}
+	for i := len(kept); i < len(s.batch); i++ {
+		s.batch[i] = nil
+	}
+	s.batch = kept
 }
 
-// proactiveDrop evicts machine-queued tasks whose chance of success is at or
-// below the fairness-adjusted threshold (Figure 5 steps 4-6).
-func (s *simulator) proactiveDrop() {
-	for _, m := range s.machines {
-		for _, t := range m.DropPending(s.now, func(e machine.Entry) bool {
-			chance := e.PCT.ProbLE(e.Task.Deadline)
-			return s.pruner.ShouldDropValued(chance, e.Task.Type, e.Task.Value)
-		}) {
-			t.Status = task.StatusDroppedProactive
-			s.pruner.RecordProactiveDrop(t.Type)
-			s.emit(TraceDroppedProactive, t, t.Machine, false)
-			s.retire(t)
-		}
+// dropped reports and retires a task the shared sweep evicted from machine
+// j's queue.
+func (s *simulator) dropped(t *task.Task, j int) {
+	kind := TraceDroppedReactive
+	if t.Status == task.StatusDroppedProactive {
+		kind = TraceDroppedProactive
 	}
+	s.emit(kind, t, j, false)
+	s.retire(t)
 }
 
 // batchMap runs the mapping heuristic over the arrival queue and applies

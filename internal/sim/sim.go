@@ -441,6 +441,7 @@ type simulator struct {
 	imm      sched.Immediate
 	bat      sched.Batch
 	pruner   *core.Pruner
+	sweep    *core.Sweep
 	events   eventq.Queue
 	now      float64
 
@@ -515,6 +516,7 @@ func newSimulator(matrix *pet.Matrix, cfg Config) (*simulator, error) {
 		return nil, err
 	}
 	s := &simulator{matrix: matrix, cfg: cfg, pruner: core.New(cfg.Prune), durRNG: randx.New(0)}
+	s.sweep = core.NewSweep(s.pruner, s.dropped)
 	switch h := cfg.Heuristic.(type) {
 	case sched.Immediate:
 		if cfg.Mode != ImmediateMode {
