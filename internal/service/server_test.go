@@ -131,7 +131,7 @@ func TestEndToEndSubmitPollCache(t *testing.T) {
 	}
 
 	// Byte-identical to the CLI path: cmd/hcsim runs scenarios through a
-	// fresh engine's Run (prunesim.RunScenario).
+	// fresh engine's Run (prunesim.NewStudy).
 	direct, err := scenario.NewEngine(0).Run(sc)
 	if err != nil {
 		t.Fatal(err)

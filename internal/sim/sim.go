@@ -169,8 +169,8 @@ func (k PlatformEventKind) String() string {
 // time units on the same clock as task arrivals.
 type PlatformEvent struct {
 	// Time is when the event fires. Events at the same instant as a task
-	// arrival are processed before the arrival (the schedule is pushed onto
-	// the event queue first, and ties pop in insertion order).
+	// arrival are processed before the arrival (the event loop lets a
+	// platform event win an equal-time race with the next arrival).
 	Time float64
 	// Kind selects the change.
 	Kind PlatformEventKind

@@ -66,7 +66,9 @@ func TestStreamMemoryBounded(t *testing.T) {
 }
 
 // TestStreamAutoExcludeBoundary: small workloads clamp the boundary to
-// total/4 on both paths; without the flag both paths reject identically.
+// total/4 whether Run clamps it up front or RunStream when the source dries
+// up; without the flag both reject it, and Run does so before simulating
+// any task.
 func TestStreamAutoExcludeBoundary(t *testing.T) {
 	mkTasks := func() []*task.Task {
 		ts := make([]*task.Task, 10)
@@ -93,8 +95,14 @@ func TestStreamAutoExcludeBoundary(t *testing.T) {
 	}
 
 	cfg.AutoExcludeBoundary = false
-	if _, err := Run(hcMatrix, mkTasks(), cfg); err == nil {
+	untouched := mkTasks()
+	if _, err := Run(hcMatrix, untouched, cfg); err == nil {
 		t.Fatal("Run accepted an out-of-range boundary")
+	}
+	for _, tk := range untouched {
+		if tk.Status != task.StatusUnarrived {
+			t.Fatalf("Run simulated task %d before rejecting the boundary", tk.ID)
+		}
 	}
 	_, err = RunStream(hcMatrix, &sliceSource{tasks: mkTasks()}, cfg)
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
