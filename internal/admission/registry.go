@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 )
@@ -291,18 +292,9 @@ func (r *Registry) List() []SessionInfo {
 		}
 		h.mu.Unlock()
 	}
-	sortInfos(infos)
+	// IDs are zero-padded, so lexicographic order is creation order.
+	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
 	return infos
-}
-
-// sortInfos orders by ID (IDs are zero-padded, so lexicographic ==
-// creation order).
-func sortInfos(infos []SessionInfo) {
-	for i := 1; i < len(infos); i++ {
-		for p := i; p > 0 && infos[p].ID < infos[p-1].ID; p-- {
-			infos[p], infos[p-1] = infos[p-1], infos[p]
-		}
-	}
 }
 
 // Len returns the number of live sessions.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"prunesim/internal/eventq"
 	"prunesim/internal/machine"
 	"prunesim/internal/pmf"
@@ -199,13 +201,7 @@ func (s *simulator) immediateMap() {
 		s.emitChance(TraceMapped, t, j, false, chance)
 		mapped++
 	}
-	if mapped > 0 {
-		n := copy(s.batch, s.batch[mapped:])
-		for i := n; i < len(s.batch); i++ {
-			s.batch[i] = nil
-		}
-		s.batch = s.batch[:n]
-	}
+	s.batch = slices.Delete(s.batch, 0, mapped)
 }
 
 // dropMissedArrivals drops every arrival-queue task whose deadline has
@@ -214,24 +210,16 @@ func (s *simulator) immediateMap() {
 func (s *simulator) dropMissedArrivals() {
 	// In immediate mode the arrival queue is non-empty only when platform
 	// events parked or requeued tasks; they age like batch-queued tasks.
-	if len(s.batch) == 0 {
-		return
-	}
-	kept := s.batch[:0]
-	for _, t := range s.batch {
-		if t.Missed(s.now) {
-			t.Status = task.StatusDroppedReactive
-			s.pruner.RecordReactiveDrop(t.Type)
-			s.emit(TraceDroppedReactive, t, -1, false)
-			s.retire(t)
-			continue
+	s.batch = slices.DeleteFunc(s.batch, func(t *task.Task) bool {
+		if !t.Missed(s.now) {
+			return false
 		}
-		kept = append(kept, t)
-	}
-	for i := len(kept); i < len(s.batch); i++ {
-		s.batch[i] = nil
-	}
-	s.batch = kept
+		t.Status = task.StatusDroppedReactive
+		s.pruner.RecordReactiveDrop(t.Type)
+		s.emit(TraceDroppedReactive, t, -1, false)
+		s.retire(t)
+		return true
+	})
 }
 
 // dropped reports and retires a task the shared sweep evicted from machine
@@ -294,16 +282,7 @@ func (s *simulator) batchMap() {
 		}
 	}
 	if enqueued > 0 {
-		kept := s.batch[:0]
-		for _, t := range s.batch {
-			if t.Status == task.StatusBatchQueued {
-				kept = append(kept, t)
-			}
-		}
-		for i := len(kept); i < len(s.batch); i++ {
-			s.batch[i] = nil
-		}
-		s.batch = kept
+		s.batch = slices.DeleteFunc(s.batch, func(t *task.Task) bool { return t.Status != task.StatusBatchQueued })
 	}
 }
 

@@ -277,36 +277,21 @@ const (
 	TraceMachineRestored
 )
 
+var traceKindNames = [...]string{
+	TraceArrived: "arrived", TraceMapped: "mapped", TraceDeferred: "deferred",
+	TraceStarted: "started", TraceCompleted: "completed",
+	TraceDroppedReactive: "dropped-reactive", TraceDroppedProactive: "dropped-proactive",
+	TraceRequeued: "requeued", TraceMachineFailed: "machine-failed",
+	TraceMachineJoined: "machine-joined", TraceMachineDegraded: "machine-degraded",
+	TraceMachineRestored: "machine-restored",
+}
+
 // String names the trace kind.
 func (k TraceKind) String() string {
-	switch k {
-	case TraceArrived:
-		return "arrived"
-	case TraceMapped:
-		return "mapped"
-	case TraceDeferred:
-		return "deferred"
-	case TraceStarted:
-		return "started"
-	case TraceCompleted:
-		return "completed"
-	case TraceDroppedReactive:
-		return "dropped-reactive"
-	case TraceDroppedProactive:
-		return "dropped-proactive"
-	case TraceRequeued:
-		return "requeued"
-	case TraceMachineFailed:
-		return "machine-failed"
-	case TraceMachineJoined:
-		return "machine-joined"
-	case TraceMachineDegraded:
-		return "machine-degraded"
-	case TraceMachineRestored:
-		return "machine-restored"
-	default:
-		return "unknown"
+	if int(k) < len(traceKindNames) {
+		return traceKindNames[k]
 	}
+	return "unknown"
 }
 
 // TraceEvent is one observed task lifecycle transition. Machine is -1 when
@@ -400,12 +385,8 @@ func Run(matrix *pet.Matrix, tasks []*task.Task, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(tasks)
-	if cfg.AutoExcludeBoundary && cfg.ExcludeBoundary >= 0 && n <= 2*cfg.ExcludeBoundary+1 {
-		s.cfg.ExcludeBoundary = n / 4
-	}
-	if s.cfg.ExcludeBoundary < 0 || 2*s.cfg.ExcludeBoundary >= n {
-		return nil, fmt.Errorf("sim: ExcludeBoundary %d out of range for %d tasks", s.cfg.ExcludeBoundary, n)
+	if !cfg.AutoExcludeBoundary && 2*cfg.ExcludeBoundary >= len(tasks) {
+		return nil, fmt.Errorf("sim: ExcludeBoundary %d out of range for %d tasks", cfg.ExcludeBoundary, len(tasks))
 	}
 	return s.run(&sliceSource{tasks: tasks})
 }
@@ -426,9 +407,6 @@ func RunStream(matrix *pet.Matrix, src TaskSource, cfg Config) (*Result, error) 
 	s, err := newSimulator(matrix, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if s.cfg.ExcludeBoundary < 0 {
-		return nil, fmt.Errorf("sim: ExcludeBoundary %d must be non-negative", s.cfg.ExcludeBoundary)
 	}
 	return s.run(src)
 }
@@ -479,8 +457,8 @@ type stretchKey struct {
 }
 
 // newSimulator validates cfg and builds the machine set, heuristic wiring
-// and pruner of one trial. ExcludeBoundary is validated by the callers:
-// RunStream learns the task total only at the end of the trial.
+// and pruner of one trial. ExcludeBoundary is checked against the task
+// total by Run up front and by finalize at the end of the trial.
 func newSimulator(matrix *pet.Matrix, cfg Config) (*simulator, error) {
 	if matrix == nil {
 		return nil, fmt.Errorf("sim: nil PET matrix")
@@ -508,6 +486,9 @@ func newSimulator(matrix *pet.Matrix, cfg Config) (*simulator, error) {
 	}
 	if err := cfg.Prune.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.ExcludeBoundary < 0 {
+		return nil, fmt.Errorf("sim: ExcludeBoundary %d must be non-negative", cfg.ExcludeBoundary)
 	}
 	if cfg.TailEps < 0 || cfg.TailEps >= 1 || math.IsNaN(cfg.TailEps) {
 		return nil, fmt.Errorf("sim: TailEps %v out of range [0, 1)", cfg.TailEps)

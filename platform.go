@@ -71,11 +71,10 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	if cfg.Pruning.NumTaskTypes == 0 {
 		cfg.Pruning.NumTaskTypes = cfg.Matrix.NumTaskTypes()
 	}
-	h, imm, err := sched.ByName(cfg.Heuristic)
+	_, imm, err := sched.ByName(cfg.Heuristic)
 	if err != nil {
 		return nil, err
 	}
-	_ = h
 	if imm && cfg.Mode != ImmediateAllocation {
 		return nil, fmt.Errorf("prunesim: heuristic %q requires ImmediateAllocation", cfg.Heuristic)
 	}
