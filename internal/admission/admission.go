@@ -21,10 +21,10 @@
 // The decision path is the simulator's own: steps 1-3 are core.Sweep, the
 // very function the simulator's mapping event calls, and steps 4-5 use the
 // same machine, pruner and sched primitives in the same order (the golden
-// tests in golden_test.go pin bitwise equivalence). Steady-state Decide+Complete
-// cycles are allocation-free — task structs are recycled through a free
-// list, PMF buffers through the session's pmf.Scratch, and the eviction /
-// started-task report slices are session-owned and reused.
+// tests in golden_test.go pin bitwise equivalence). Steady-state
+// Decide+Complete cycles are allocation-free — task structs are recycled
+// through a free list, PMF buffers through the session's pmf.Scratch, and
+// the eviction / started-task report slices are session-owned and reused.
 //
 // A Session is NOT safe for concurrent use; the Registry serializes HTTP
 // access per session under a per-session lock.

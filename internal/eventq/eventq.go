@@ -9,11 +9,11 @@ package eventq
 // Kind discriminates simulator events.
 type Kind uint8
 
+// Task arrivals are not queued events: the simulator pulls them from its
+// task source and races each against the queue head.
 const (
-	// KindArrival is a task arriving at the resource allocator.
-	KindArrival Kind = iota
 	// KindCompletion is a machine finishing its running task.
-	KindCompletion
+	KindCompletion Kind = iota
 	// KindPlatform is a scheduled platform change (machine fail/join/
 	// degrade/restore). TaskID indexes the simulation's platform-event
 	// schedule instead of a task.
@@ -23,8 +23,6 @@ const (
 // String names the kind.
 func (k Kind) String() string {
 	switch k {
-	case KindArrival:
-		return "arrival"
 	case KindCompletion:
 		return "completion"
 	case KindPlatform:
@@ -35,8 +33,8 @@ func (k Kind) String() string {
 }
 
 // Event is a scheduled simulator occurrence. TaskID and Machine carry the
-// payload (Machine is -1 for arrivals; for KindPlatform events TaskID is an
-// index into the platform-event schedule).
+// payload (for KindPlatform events TaskID is an index into the
+// platform-event schedule and Machine is -1).
 type Event struct {
 	Time    float64
 	Kind    Kind

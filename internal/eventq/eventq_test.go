@@ -10,8 +10,8 @@ import (
 
 func TestOrdering(t *testing.T) {
 	var q Queue
-	q.Push(Event{Time: 3, Kind: KindArrival, TaskID: 3})
-	q.Push(Event{Time: 1, Kind: KindArrival, TaskID: 1})
+	q.Push(Event{Time: 3, Kind: KindPlatform, TaskID: 3})
+	q.Push(Event{Time: 1, Kind: KindPlatform, TaskID: 1})
 	q.Push(Event{Time: 2, Kind: KindCompletion, TaskID: 2})
 	var order []int
 	for q.Len() > 0 {
@@ -63,7 +63,7 @@ func TestEmptyPanics(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	if KindArrival.String() != "arrival" || KindCompletion.String() != "completion" {
+	if KindCompletion.String() != "completion" {
 		t.Fatal("kind strings wrong")
 	}
 	if KindPlatform.String() != "platform" {

@@ -149,17 +149,6 @@ func (s *simulator) handleCompletion(j int) {
 	s.retire(t)
 }
 
-// retire processes a task the moment its outcome is final: it feeds the
-// optional fixed-size aggregates, tallies the outcome and hands the struct
-// back to the source for reuse. The task must no longer be referenced by
-// any queue.
-func (s *simulator) retire(t *task.Task) {
-	if s.cfg.Aggregates != nil {
-		s.cfg.Aggregates.observe(t, s.now)
-	}
-	s.recordOutcome(t)
-}
-
 // mappingEvent implements Figure 5. arrived is non-nil only in immediate
 // mode, where the triggering arrival must be mapped within its own event.
 func (s *simulator) mappingEvent(arrived *task.Task) {

@@ -277,21 +277,36 @@ const (
 	TraceMachineRestored
 )
 
-var traceKindNames = [...]string{
-	TraceArrived: "arrived", TraceMapped: "mapped", TraceDeferred: "deferred",
-	TraceStarted: "started", TraceCompleted: "completed",
-	TraceDroppedReactive: "dropped-reactive", TraceDroppedProactive: "dropped-proactive",
-	TraceRequeued: "requeued", TraceMachineFailed: "machine-failed",
-	TraceMachineJoined: "machine-joined", TraceMachineDegraded: "machine-degraded",
-	TraceMachineRestored: "machine-restored",
-}
-
 // String names the trace kind.
 func (k TraceKind) String() string {
-	if int(k) < len(traceKindNames) {
-		return traceKindNames[k]
+	switch k {
+	case TraceArrived:
+		return "arrived"
+	case TraceMapped:
+		return "mapped"
+	case TraceDeferred:
+		return "deferred"
+	case TraceStarted:
+		return "started"
+	case TraceCompleted:
+		return "completed"
+	case TraceDroppedReactive:
+		return "dropped-reactive"
+	case TraceDroppedProactive:
+		return "dropped-proactive"
+	case TraceRequeued:
+		return "requeued"
+	case TraceMachineFailed:
+		return "machine-failed"
+	case TraceMachineJoined:
+		return "machine-joined"
+	case TraceMachineDegraded:
+		return "machine-degraded"
+	case TraceMachineRestored:
+		return "machine-restored"
+	default:
+		return "unknown"
 	}
-	return "unknown"
 }
 
 // TraceEvent is one observed task lifecycle transition. Machine is -1 when

@@ -65,9 +65,14 @@ func (s *simulator) pullArrival() error {
 	return nil
 }
 
-// recordOutcome captures a task's final outcome, recycles the struct if the
-// source reuses tasks, and folds whatever the window now allows.
-func (s *simulator) recordOutcome(t *task.Task) {
+// retire processes a task the moment its outcome is final: it feeds the
+// optional fixed-size aggregates, records the outcome, hands the struct back
+// to the source if the source reuses tasks, and folds whatever the window
+// now allows. The task must no longer be referenced by any queue.
+func (s *simulator) retire(t *task.Task) {
+	if s.cfg.Aggregates != nil {
+		s.cfg.Aggregates.observe(t, s.now)
+	}
 	st := &s.stream
 	st.pending[t.ID] = outcome{status: t.Status, typ: t.Type, value: t.Value}
 	if st.rec != nil {
@@ -77,8 +82,8 @@ func (s *simulator) recordOutcome(t *task.Task) {
 }
 
 // drainOutcomes folds recorded outcomes into the Result in strictly
-// increasing ID order — finalize's float summation order. An ID folds only
-// once its window membership is certain:
+// increasing ID order (the fixed summation order of the file comment). An
+// ID folds only once its window membership is certain:
 //
 //   - maxArrived >= 2*lo+1 proves the final total exceeds 2*lo+1, so the
 //     effective boundary is exactly the configured one (finalize's
