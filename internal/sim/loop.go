@@ -57,24 +57,17 @@ func (s *simulator) run(src TaskSource) (*Result, error) {
 	if err := s.pullArrival(); err != nil {
 		return nil, err
 	}
-	for {
+	for st.nextArr != nil || s.events.Len() > 0 {
 		// Race the pending arrival against the queue head. At equal times a
 		// platform event goes first (a machine failing at t never executes
 		// a task arriving at t) and a completion goes last.
-		useQueue := false
-		if st.nextArr == nil {
-			if s.events.Len() == 0 {
-				break
-			}
-			useQueue = true
-		} else if s.events.Len() > 0 {
+		queueFirst := st.nextArr == nil
+		if !queueFirst && s.events.Len() > 0 {
 			head := s.events.Peek()
-			if head.Time < st.nextArr.Arrival ||
-				(head.Time == st.nextArr.Arrival && head.Kind == eventq.KindPlatform) {
-				useQueue = true
-			}
+			queueFirst = head.Time < st.nextArr.Arrival ||
+				(head.Time == st.nextArr.Arrival && head.Kind == eventq.KindPlatform)
 		}
-		if useQueue {
+		if queueFirst {
 			e := s.events.Pop()
 			if s.cfg.Clock != nil {
 				s.cfg.Clock.Advance(e.Time)
@@ -199,16 +192,19 @@ func (s *simulator) immediateMap() {
 func (s *simulator) dropMissedArrivals() {
 	// In immediate mode the arrival queue is non-empty only when platform
 	// events parked or requeued tasks; they age like batch-queued tasks.
-	s.batch = slices.DeleteFunc(s.batch, func(t *task.Task) bool {
+	kept := s.batch[:0]
+	for _, t := range s.batch {
 		if !t.Missed(s.now) {
-			return false
+			kept = append(kept, t)
+			continue
 		}
 		t.Status = task.StatusDroppedReactive
 		s.pruner.RecordReactiveDrop(t.Type)
 		s.emit(TraceDroppedReactive, t, -1, false)
 		s.retire(t)
-		return true
-	})
+	}
+	clear(s.batch[len(kept):])
+	s.batch = kept
 }
 
 // dropped reports and retires a task the shared sweep evicted from machine
@@ -271,7 +267,14 @@ func (s *simulator) batchMap() {
 		}
 	}
 	if enqueued > 0 {
-		s.batch = slices.DeleteFunc(s.batch, func(t *task.Task) bool { return t.Status != task.StatusBatchQueued })
+		kept := s.batch[:0]
+		for _, t := range s.batch {
+			if t.Status == task.StatusBatchQueued {
+				kept = append(kept, t)
+			}
+		}
+		clear(s.batch[len(kept):])
+		s.batch = kept
 	}
 }
 
