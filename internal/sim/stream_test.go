@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"prunesim/internal/core"
 	"prunesim/internal/sched"
@@ -29,6 +30,111 @@ func streamWorkloadCfg(n, trial int) workload.Config {
 	cfg.NumSpikes = 2
 	cfg.Trial = trial
 	return cfg
+}
+
+// runBoth executes the identical trial on both workload paths — Run over a
+// fresh materialized workload.Generate slice, RunStream over a fresh
+// arena-backed workload.Source that recycles retired tasks — with observers
+// capturing the full trace, and returns both results + traces. mkCfg must
+// return a fresh Config per call: heuristics can be stateful (RR's rotation
+// cursor), so the two runs cannot share one instance.
+func runBoth(t *testing.T, wcfg workload.Config, mkCfg func() Config) (*Result, *Result, []TraceEvent, []TraceEvent) {
+	t.Helper()
+	var matTrace, strTrace []TraceEvent
+	matCfg := mkCfg()
+	matCfg.Observer = func(e TraceEvent) { matTrace = append(matTrace, e) }
+	tasks, err := workload.Generate(hcMatrix, wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matRes, err := Run(hcMatrix, tasks, matCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strCfg := mkCfg()
+	strCfg.Observer = func(e TraceEvent) { strTrace = append(strTrace, e) }
+	src, err := workload.NewSource(hcMatrix, wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strRes, err := RunStream(hcMatrix, src, strCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live := src.Live(); live != 0 {
+		t.Fatalf("source still holds %d live tasks after RunStream", live)
+	}
+	return matRes, strRes, matTrace, strTrace
+}
+
+// TestStreamMatchesRunProperty: across random heuristics, modes and pruning
+// configurations, RunStream over a recycling Source produces a Result and
+// trace bitwise-identical to Run over the materialized workload.
+func TestStreamMatchesRunProperty(t *testing.T) {
+	f := func(rr randomRun) bool {
+		if rr.heuristic == "FCFS-RR" || rr.heuristic == "EDF" || rr.heuristic == "SJF" {
+			// These need the homogeneous matrix; runBoth is wired to the HC
+			// fixture and the remaining heuristics cover both modes.
+			return true
+		}
+		if _, _, err := sched.ByName(rr.heuristic); err != nil {
+			return false
+		}
+		mode := BatchMode
+		if rr.immediate {
+			mode = ImmediateMode
+		}
+		mkCfg := func() Config {
+			h, _, _ := sched.ByName(rr.heuristic)
+			return Config{
+				Mode: mode, Heuristic: h, MachineTypes: hcMachines,
+				Slots: rr.slots, Prune: rr.prune, Seed: uint64(rr.trial) + 1,
+				ExcludeBoundary: 20,
+			}
+		}
+		matRes, strRes, matTrace, strTrace := runBoth(t, streamWorkloadCfg(rr.numTasks, rr.trial), mkCfg)
+		if !reflect.DeepEqual(matRes, strRes) {
+			t.Logf("%s: results diverge:\n%+v\n%+v", rr.heuristic, matRes, strRes)
+			return false
+		}
+		if !reflect.DeepEqual(matTrace, strTrace) {
+			t.Logf("%s: traces diverge (%d vs %d events)", rr.heuristic, len(matTrace), len(strTrace))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamMatchesRunWithPlatformEvents: failures, joins, degradations and
+// restores interleave with streamed arrivals exactly as with materialized
+// ones, including equal-time tie-breaks (platform before arrival).
+func TestStreamMatchesRunWithPlatformEvents(t *testing.T) {
+	for _, mode := range []struct {
+		name  string
+		mkCfg func() Config
+	}{
+		{"batch-MM", func() Config { return batchCfg(sched.NewMM(), core.DefaultConfig(12)) }},
+		{"immediate-MCT", func() Config { return immCfg(sched.NewMCT(), core.DefaultConfig(12)) }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			mkCfg := func() Config {
+				cfg := mode.mkCfg()
+				cfg.Events = churnSchedule()
+				return cfg
+			}
+			matRes, strRes, matTrace, strTrace := runBoth(t, streamWorkloadCfg(2500, 5), mkCfg)
+			requireSameResult(t, matRes, strRes)
+			if !reflect.DeepEqual(matTrace, strTrace) {
+				t.Fatalf("traces diverge: %d vs %d events", len(matTrace), len(strTrace))
+			}
+			if matRes.PlatformEvents != len(churnSchedule()) {
+				t.Fatalf("executed %d platform events, want %d", matRes.PlatformEvents, len(churnSchedule()))
+			}
+		})
+	}
 }
 
 // TestStreamMemoryBounded: the arena's live count during the run stays far
