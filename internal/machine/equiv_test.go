@@ -14,11 +14,12 @@ import (
 
 // This file proves the incremental-PCT machine equivalent to a reference
 // implementation that reconvolves the full queue on every refresh — a
-// direct port of the pre-incremental machine code, written against the
-// immutable pmf API. Both are driven through randomized operation
-// sequences and compared bitwise after every step: because the in-place
-// pmf kernel is bitwise-identical to the immutable one, any divergence
-// would expose a caching or chain-invalidation bug, not float noise.
+// direct port of the pre-incremental machine code, allocating every PMF
+// (nil destinations) instead of reusing scratch buffers. Both are driven
+// through randomized operation sequences and compared bitwise after every
+// step: the pmf kernels give the same bits whether or not a destination is
+// reused, so any divergence would expose a caching or chain-invalidation
+// bug, not float noise.
 
 // refMachine is the full-recompute reference.
 type refMachine struct {
@@ -35,7 +36,7 @@ func (m *refMachine) baselinePCT(now float64) *pmf.PMF {
 	if m.running == nil {
 		return pmf.Delta(now, m.binWidth)
 	}
-	return m.runComp.ConditionMin(now)
+	return pmf.ConditionMinInto(nil, m.runComp, now)
 }
 
 func (m *refMachine) refreshIfStale() {
@@ -52,7 +53,7 @@ func (m *refMachine) refreshIfStale() {
 		return
 	}
 	for i := range m.pending {
-		pct := prev.Convolve(m.pet(m.pending[i].Task.Type))
+		pct := pmf.ConvolveInto(nil, prev, m.pet(m.pending[i].Task.Type))
 		m.pending[i].PCT = pct
 		prev = pct
 	}
@@ -72,11 +73,11 @@ func (m *refMachine) expectedReady(now float64) float64 {
 }
 
 func (m *refMachine) chanceIfEnqueued(taskType int, deadline, now float64) float64 {
-	return m.lastPCT(now).Convolve(m.pet(taskType)).ProbLE(deadline)
+	return pmf.ConvolveInto(nil, m.lastPCT(now), m.pet(taskType)).ProbLE(deadline)
 }
 
 func (m *refMachine) enqueue(t *task.Task, now float64) {
-	pct := m.lastPCT(now).Convolve(m.pet(t.Type))
+	pct := pmf.ConvolveInto(nil, m.lastPCT(now), m.pet(t.Type))
 	t.Status = task.StatusMachineQueued
 	m.pending = append(m.pending, Entry{Task: t, PCT: pct})
 }
@@ -91,7 +92,7 @@ func (m *refMachine) startNext(now float64) *task.Task {
 	m.pending = m.pending[:len(m.pending)-1]
 	m.running = head.Task
 	m.running.Start = now
-	m.runComp = pmf.Delta(now, m.binWidth).Convolve(m.pet(head.Task.Type))
+	m.runComp = pmf.ConvolveInto(nil, pmf.Delta(now, m.binWidth), m.pet(head.Task.Type))
 	m.stale = true
 	return m.running
 }
@@ -116,7 +117,7 @@ func (m *refMachine) dropPending(now float64, shouldDrop func(e Entry) bool) []*
 	kept := m.pending[:0]
 	for _, e := range m.pending {
 		if dirty {
-			e.PCT = prev.Convolve(m.pet(e.Task.Type))
+			e.PCT = pmf.ConvolveInto(nil, prev, m.pet(e.Task.Type))
 		}
 		if shouldDrop(e) {
 			if !dirty {
@@ -168,7 +169,7 @@ func (m *refMachine) setPET(lookup PETLookup) {
 func (m *refMachine) refreshPCTs(now float64) {
 	prev := m.baselinePCT(now)
 	for i := range m.pending {
-		pct := prev.Convolve(m.pet(m.pending[i].Task.Type))
+		pct := pmf.ConvolveInto(nil, prev, m.pet(m.pending[i].Task.Type))
 		m.pending[i].PCT = pct
 		prev = pct
 	}

@@ -91,7 +91,7 @@ type Machine struct {
 	down              bool // failed and not yet rejoined
 
 	// tailEps, when positive, compresses every chain PCT right after it is
-	// convolved (pmf.CompressTail): long streaming trials keep supports
+	// convolved (PMF.CompressTailInPlace): long streaming trials keep supports
 	// bounded at the price of an ε-conservative chance estimate.
 	tailEps float64
 

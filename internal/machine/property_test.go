@@ -151,6 +151,5 @@ func TestConvolveMaxPanicsOnBadCap(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	a := pmf.Delta(1, 1)
-	a.ConvolveMax(pmf.Delta(2, 1), 0)
+	pmf.ConvolveMaxInto(nil, pmf.Delta(1, 1), pmf.Delta(2, 1), 0)
 }

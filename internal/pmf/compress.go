@@ -2,7 +2,7 @@ package pmf
 
 // Tail-mass-ε support compression. Long streaming trials convolve thousands
 // of PETs into machine-queue PCT chains; each convolution widens the support
-// until DefaultMaxBins truncates it. CompressTail trades a bounded,
+// until DefaultMaxBins truncates it. CompressTailInPlace trades a bounded,
 // one-sided approximation error for a tighter support: it folds the longest
 // suffix of high-time bins whose combined mass is at most eps into the tail
 // bucket. Because tail mass counts as missing every finite deadline, the
@@ -10,25 +10,15 @@ package pmf
 // most eps and never increases — so pruning decisions made on compressed
 // PCTs can only get (ε-slightly) more cautious, never optimistic.
 
-// CompressTail returns a copy of d whose finite support drops the largest
-// suffix with total mass <= eps, folding that mass into the tail bucket. At
-// least one finite bin is always kept. For eps <= 0 (or when no suffix
-// qualifies) the receiver itself is returned unchanged.
+// CompressTailInPlace folds the largest suffix of d's finite support with
+// total mass <= eps into the tail bucket and returns d. At least one finite
+// bin is always kept. For eps <= 0 (or when no suffix qualifies) d is left
+// unchanged. It mutates d, so callers compress PMFs they own exclusively
+// (machine scratch chains).
 //
 // Error bound, asserted by property test: Tail() grows by at most eps, and
-// for every t, 0 <= d.ProbLE(t) - compressed.ProbLE(t) <= eps.
-func (d *PMF) CompressTail(eps float64) *PMF {
-	cut, folded := d.tailCut(eps)
-	if cut == len(d.p) {
-		return d
-	}
-	c := &PMF{origin: d.origin, width: d.width, p: append([]float64(nil), d.p[:cut]...), tail: d.tail + folded}
-	c.trim()
-	return c
-}
-
-// CompressTailInPlace is CompressTail mutating the receiver, for PMFs the
-// caller owns exclusively (machine scratch chains). It returns d.
+// for every t, the compressed ProbLE(t) is at most eps below the original
+// and never above it.
 func (d *PMF) CompressTailInPlace(eps float64) *PMF {
 	cut, folded := d.tailCut(eps)
 	if cut == len(d.p) {

@@ -31,7 +31,7 @@ func TestCompressTailErrorBound(t *testing.T) {
 	for iter := 0; iter < 500; iter++ {
 		d := randomPMF(r)
 		eps := []float64{1e-12, 1e-6, 1e-3, 0.05, 0.3}[r.Intn(5)]
-		c := d.CompressTail(eps)
+		c := d.Clone().CompressTailInPlace(eps)
 		if got := c.Tail() - d.Tail(); got < -1e-15 || got > eps+1e-12 {
 			t.Fatalf("iter %d: tail grew by %v, want within [0, %v]", iter, got, eps)
 		}
@@ -60,15 +60,15 @@ func TestCompressTailErrorBound(t *testing.T) {
 func TestCompressTailNoOpForNonPositiveEps(t *testing.T) {
 	d := New(0, 1, []float64{0.2, 0.3, 0.5}, 0)
 	for _, eps := range []float64{0, -1} {
-		if got := d.CompressTail(eps); got != d {
+		c := d.Clone()
+		if got := c.CompressTailInPlace(eps); got != c || !bitwiseEqual(c, d) {
 			t.Fatalf("eps %v: expected the receiver back unchanged", eps)
 		}
 	}
 }
 
 func TestCompressTailKeepsAtLeastOneBin(t *testing.T) {
-	d := New(3, 1, []float64{1e-6}, 0.9)
-	c := d.CompressTail(0.5)
+	c := New(3, 1, []float64{1e-6}, 0.9).CompressTailInPlace(0.5)
 	if c.NumBins() != 1 {
 		t.Fatalf("bins = %d, want 1", c.NumBins())
 	}
@@ -78,17 +78,13 @@ func TestCompressTailKeepsAtLeastOneBin(t *testing.T) {
 }
 
 func TestCompressTailFoldsSuffix(t *testing.T) {
-	d := New(0, 1, []float64{0.5, 0.3, 0.1, 0.06, 0.04}, 0)
-	c := d.CompressTail(0.1)
+	c := New(0, 1, []float64{0.5, 0.3, 0.1, 0.06, 0.04}, 0).CompressTailInPlace(0.1)
 	// The suffix {0.06, 0.04} has mass 0.1 <= eps; adding 0.1 would exceed.
 	if c.NumBins() != 3 {
 		t.Fatalf("bins = %d, want 3 (%v)", c.NumBins(), c)
 	}
 	if math.Abs(c.Tail()-0.1) > 1e-15 {
 		t.Fatalf("tail = %v, want 0.1", c.Tail())
-	}
-	if d.NumBins() != 5 || d.Tail() != 0 {
-		t.Fatalf("receiver mutated: %v", d)
 	}
 }
 
@@ -103,21 +99,16 @@ func TestCompressTailInPlaceMutates(t *testing.T) {
 	}
 }
 
-// TestCompressTailMatchesInPlace: both variants produce identical results.
+// TestCompressTailMatchesInPlace: CompressTailInPlace matches the plain
+// reference bit for bit.
 func TestCompressTailMatchesInPlace(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 200; iter++ {
 		d := randomPMF(r)
 		eps := r.Float64() * 0.2
-		a := d.CompressTail(eps)
-		b := d.Clone().CompressTailInPlace(eps)
-		if a.origin != b.origin || a.tail != b.tail || len(a.p) != len(b.p) {
-			t.Fatalf("iter %d: variants diverge: %v vs %v", iter, a, b)
-		}
-		for i := range a.p {
-			if a.p[i] != b.p[i] {
-				t.Fatalf("iter %d: bin %d differs: %v vs %v", iter, i, a.p[i], b.p[i])
-			}
+		want := refCompressTail(d, eps)
+		if got := d.Clone().CompressTailInPlace(eps); !bitwiseEqual(got, want) {
+			t.Fatalf("iter %d: got %v, want %v", iter, got, want)
 		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// Edge-case coverage for Mixture and ConvolveMax, previously exercised only
+// Edge-case coverage for Mixture and ConvolveMaxInto, previously exercised only
 // indirectly through the simulator.
 
 func TestMixtureEmptyInputsPanic(t *testing.T) {
@@ -94,7 +94,7 @@ func TestConvolveMaxTailAccumulationAtCap(t *testing.T) {
 	// Two uniform 4-bin PMFs convolve to 7 bins; a cap of 3 folds the
 	// mass of bins 3..6 into the tail.
 	u := New(0, 1, []float64{0.25, 0.25, 0.25, 0.25}, 0)
-	c := u.ConvolveMax(u, 3)
+	c := ConvolveMaxInto(nil, u, u, 3)
 	if c.NumBins() != 3 {
 		t.Fatalf("bins = %d, want 3", c.NumBins())
 	}
@@ -114,7 +114,7 @@ func TestConvolveMaxTailAccumulationAtCap(t *testing.T) {
 
 func TestConvolveMaxCapOfOneKeepsSingleBin(t *testing.T) {
 	u := New(2, 1, []float64{0.5, 0.5}, 0)
-	c := u.ConvolveMax(u, 1)
+	c := ConvolveMaxInto(nil, u, u, 1)
 	if c.NumBins() != 1 || c.Origin() != 4 {
 		t.Fatalf("cap-1 convolution support wrong: %v", c)
 	}

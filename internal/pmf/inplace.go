@@ -2,16 +2,17 @@ package pmf
 
 import "math"
 
-// This file holds the destination-passing ("Into") and in-place variants of
-// the PMF algebra. They are the allocation-free core the simulator's hot
-// loop runs on; the immutable methods in pmf.go are thin wrappers over them,
-// which guarantees the two paths produce bitwise-identical results (a
-// property the tests assert).
+// This file holds the destination-passing ("Into") kernels of the PMF
+// algebra: the one implementation of convolution (Eq. 1) and conditioning
+// that both the simulator's hot loop and the allocating Convolve run on.
+// The tests compare every kernel bit for bit against a plain reference
+// (reference_test.go).
 //
 // Ownership rules (see also DESIGN.md, "Performance"):
 //
-//   - A destination PMF must not alias either operand; the functions panic
-//     on aliasing because the result would silently corrupt.
+//   - A destination PMF must not alias an operand; ConvolveMaxInto and
+//     ConditionMinInto panic on aliasing because the result would
+//     silently corrupt.
 //   - PMFs obtained from a Scratch are valid only as destinations until an
 //     Into-operation has filled them.
 //   - Into-functions accept a nil destination and then allocate, so
@@ -64,8 +65,8 @@ func ConvolveMaxInto(dst, a, b *PMF, maxBins int) *PMF {
 		}
 		// Split the inner loop at the truncation horizon: bins below it
 		// accumulate into the result, bins at or beyond it into the tail.
-		// Within one row both accumulations run in ascending j, preserving
-		// the exact floating-point summation order of the immutable path.
+		// Within one row both accumulations run in ascending j, the
+		// floating-point summation order of the plain i×j reference.
 		jmax := keep - i
 		if jmax > len(b.p) {
 			jmax = len(b.p)
@@ -90,57 +91,15 @@ func ConvolveMaxInto(dst, a, b *PMF, maxBins int) *PMF {
 	return dst
 }
 
-// ShiftInPlace translates d by t time units (rounded to whole bins) and
-// returns d. It never allocates.
-func (d *PMF) ShiftInPlace(t float64) *PMF {
-	d.origin += int(math.Round(t / d.width))
-	return d
-}
-
-// ConditionMinInPlace conditions d on X >= t in place and returns d: the
-// remaining completion-time distribution of a task known to be unfinished
-// at time t. Mass strictly before t is removed and the remainder
-// renormalized; if no mass remains at or after t, d becomes a point mass at
-// t. It never allocates.
-func (d *PMF) ConditionMinInPlace(t float64) *PMF {
-	cut := int(math.Ceil(t/d.width - 1e-9)) // first absolute bin index kept
-	start := cut - d.origin
-	if start <= 0 {
-		return d
-	}
-	if start >= len(d.p) {
-		if d.tail > 0 {
-			d.origin = cut
-			d.p = d.p[:1]
-			d.p[0] = 0
-			d.tail = 1
-			return d
-		}
-		return d.becomeDelta(t)
-	}
-	total := d.tail
-	for _, m := range d.p[start:] {
-		total += m
-	}
-	if total <= massEps {
-		return d.becomeDelta(t)
-	}
-	n := copy(d.p, d.p[start:])
-	d.p = d.p[:n]
-	for i := range d.p {
-		d.p[i] /= total
-	}
-	d.origin = cut
-	d.tail /= total
-	return d
-}
-
-// ConditionMinInto writes the conditioning of src on X >= t into dst and
-// returns dst, leaving src untouched. dst may be nil (allocates) or src
-// itself (delegates to ConditionMinInPlace).
+// ConditionMinInto writes into dst the distribution of src conditioned on
+// X >= t, and returns dst: the remaining completion-time distribution of a
+// task known to be unfinished at time t. Mass strictly before t is removed
+// and the remainder renormalized; if no mass remains at or after t, dst
+// becomes a point mass at t. dst may be nil, in which case a fresh PMF is
+// allocated; it must not alias src.
 func ConditionMinInto(dst, src *PMF, t float64) *PMF {
 	if dst == src {
-		return src.ConditionMinInPlace(t)
+		panic("pmf: ConditionMinInto destination must not alias its source")
 	}
 	if dst == nil {
 		dst = &PMF{}

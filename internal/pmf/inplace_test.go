@@ -8,7 +8,7 @@ import (
 )
 
 // bitwiseEqual reports exact (bit-for-bit) equality of two PMFs — the
-// guarantee the in-place kernel makes relative to the immutable API.
+// guarantee the kernels make relative to the plain reference.
 func bitwiseEqual(a, b *PMF) bool {
 	if a.origin != b.origin || a.width != b.width || len(a.p) != len(b.p) {
 		return false
@@ -35,13 +35,16 @@ func dirtyDst(r *rand.Rand) *PMF {
 	return &PMF{origin: r.Intn(100) - 50, width: r.Float64() + 0.1, p: p, tail: r.Float64()}
 }
 
+// TestPropConvolveIntoBitwiseEqualsImmutable: the allocating Convolve and
+// ConvolveInto into a fresh or a dirty destination all equal the plain
+// reference convolution bit for bit.
 func TestPropConvolveIntoBitwiseEqualsImmutable(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	f := func(a, b genPMF) bool {
-		want := a.d.Convolve(b.d)
+		want := refConvolve(a.d, b.d, DefaultMaxBins)
 		intoFresh := ConvolveInto(nil, a.d, b.d)
 		intoDirty := ConvolveInto(dirtyDst(r), a.d, b.d)
-		return bitwiseEqual(want, intoFresh) && bitwiseEqual(want, intoDirty)
+		return bitwiseEqual(want, a.d.Convolve(b.d)) && bitwiseEqual(want, intoFresh) && bitwiseEqual(want, intoDirty)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -52,7 +55,7 @@ func TestPropConvolveMaxIntoBitwiseEqualsImmutable(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	f := func(a, b genPMF, capRaw uint8) bool {
 		maxBins := 1 + int(capRaw)%16 // small caps force tail folding
-		want := a.d.ConvolveMax(b.d, maxBins)
+		want := refConvolve(a.d, b.d, maxBins)
 		got := ConvolveMaxInto(dirtyDst(r), a.d, b.d, maxBins)
 		return bitwiseEqual(want, got)
 	}
@@ -65,22 +68,25 @@ func TestPropConditionMinVariantsBitwiseEqual(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	f := func(g genPMF, cutRaw int8) bool {
 		cut := g.d.MinTime() + float64(cutRaw%24) // below, inside and past the support
-		want := g.d.ConditionMin(cut)
-		into := ConditionMinInto(dirtyDst(r), g.d, cut)
-		inPlace := g.d.Clone().ConditionMinInPlace(cut)
-		return bitwiseEqual(want, into) && bitwiseEqual(want, inPlace)
+		want := refConditionMin(g.d, cut)
+		intoFresh := ConditionMinInto(nil, g.d, cut)
+		intoDirty := ConditionMinInto(dirtyDst(r), g.d, cut)
+		return bitwiseEqual(want, intoFresh) && bitwiseEqual(want, intoDirty)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestPropShiftInPlaceBitwiseEqualsShift: the allocation-free shift — a
+// DeltaInto and a ConvolveInto through dirty scratch buffers — equals the
+// reference shift bit for bit, including shifts that round to a bin.
 func TestPropShiftInPlaceBitwiseEqualsShift(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
 	f := func(g genPMF, kRaw int8) bool {
-		k := float64(kRaw)
-		want := g.d.Shift(k)
-		got := g.d.Clone().ShiftInPlace(k)
-		return bitwiseEqual(want, got)
+		k := float64(kRaw) / 3
+		got := ConvolveInto(dirtyDst(r), g.d, DeltaInto(dirtyDst(r), k, 1))
+		return bitwiseEqual(refShift(g.d, k), got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -117,13 +123,14 @@ func TestConvolveIntoRejectsAliasedDst(t *testing.T) {
 	}
 }
 
-func TestConditionMinIntoAliasedDstDelegatesToInPlace(t *testing.T) {
+func TestConditionMinIntoRejectsAliasedDst(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for aliased destination")
+		}
+	}()
 	d := New(0, 1, []float64{0.25, 0.25, 0.25, 0.25}, 0)
-	want := d.ConditionMin(2)
-	got := ConditionMinInto(d, d, 2)
-	if got != d || !bitwiseEqual(want, got) {
-		t.Fatalf("aliased ConditionMinInto = %v, want %v", got, want)
-	}
+	ConditionMinInto(d, d, 2)
 }
 
 func TestCopyIntoSelfIsNoop(t *testing.T) {
@@ -147,7 +154,7 @@ func TestScratchRecyclesBuffers(t *testing.T) {
 	}
 	// The recycled buffer must be fully usable as a destination.
 	got := ConvolveInto(d2, a, a)
-	if !bitwiseEqual(got, a.Convolve(a)) {
+	if !bitwiseEqual(got, refConvolve(a, a, DefaultMaxBins)) {
 		t.Fatal("recycled buffer produced a wrong convolution")
 	}
 }
@@ -174,8 +181,8 @@ func TestScratchPoolRoundTrip(t *testing.T) {
 }
 
 // TestChainedInPlaceMatchesImmutableChain mirrors the machine-queue usage:
-// a deep chain of convolutions through one scratch must equal the immutable
-// chain bit for bit.
+// a deep chain of convolutions through one scratch must equal the chain of
+// reference convolutions bit for bit.
 func TestChainedInPlaceMatchesImmutableChain(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	pets := make([]*PMF, 8)
@@ -186,7 +193,7 @@ func TestChainedInPlaceMatchesImmutableChain(t *testing.T) {
 
 	want := anchor
 	for _, p := range pets {
-		want = want.Convolve(p)
+		want = refConvolve(want, p, DefaultMaxBins)
 	}
 
 	s := &Scratch{}
@@ -201,4 +208,47 @@ func TestChainedInPlaceMatchesImmutableChain(t *testing.T) {
 	if !bitwiseEqual(want, prev) {
 		t.Fatalf("chained in-place result diverged:\n got %v\nwant %v", prev, want)
 	}
+}
+
+// fuzzPMF builds a PMF of width 0.5 from raw fuzzer bytes: raw[0] sets the
+// origin, raw[1] the tail mass and each further byte one bin's mass, zero
+// bins included. It returns nil when the bytes cannot make a valid PMF with
+// at least one bin.
+func fuzzPMF(raw []byte) *PMF {
+	if len(raw) < 3 {
+		return nil
+	}
+	masses := make([]float64, min(len(raw)-2, 64))
+	total := float64(raw[1] % 64)
+	for i := range masses {
+		masses[i] = float64(raw[2+i])
+		total += masses[i]
+	}
+	if total == 0 {
+		return nil
+	}
+	return New(int(int8(raw[0]))%16, 0.5, masses, float64(raw[1]%64))
+}
+
+// FuzzConvolveMatchesReference compares ConvolveMaxInto and
+// ConditionMinInto bit for bit against the plain reference on fuzzer-built
+// PMFs, caps and cut times.
+func FuzzConvolveMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 6, 1, 1}, []byte{4, 0, 4, 2, 1, 1}, uint8(3), int8(2))
+	f.Add([]byte{250, 9, 0, 3, 0, 0, 7}, []byte{1, 40, 5}, uint8(0), int8(-3))
+	f.Add([]byte{7, 63, 0}, []byte{2, 1, 9, 9, 9, 9, 9, 9}, uint8(40), int8(90))
+	f.Fuzz(func(t *testing.T, araw, braw []byte, capRaw uint8, cutRaw int8) {
+		a, b := fuzzPMF(araw), fuzzPMF(braw)
+		if a == nil || b == nil {
+			t.Skip()
+		}
+		maxBins := 1 + int(capRaw)%32
+		if got, want := ConvolveMaxInto(nil, a, b, maxBins), refConvolve(a, b, maxBins); !bitwiseEqual(got, want) {
+			t.Fatalf("ConvolveMaxInto(%v, %v, %d) = %v, want %v", a, b, maxBins, got, want)
+		}
+		cut := a.MinTime() + float64(cutRaw)/4
+		if got, want := ConditionMinInto(nil, a, cut), refConditionMin(a, cut); !bitwiseEqual(got, want) {
+			t.Fatalf("ConditionMinInto(%v, %v) = %v, want %v", a, cut, got, want)
+		}
+	})
 }

@@ -16,7 +16,6 @@ package pmf
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"prunesim/internal/randx"
 )
@@ -225,29 +224,10 @@ func (d *PMF) Quantile(q float64) float64 {
 // any mass pair involving a tail stays in the tail. The support is capped at
 // DefaultMaxBins with overflow folded into the tail.
 //
-// Convolve allocates its result; the hot path uses ConvolveInto with a
-// Scratch buffer instead. Both produce bitwise-identical results.
+// Convolve allocates its result; it is ConvolveInto with a nil destination.
+// The hot path passes a Scratch buffer instead.
 func (d *PMF) Convolve(o *PMF) *PMF {
-	return ConvolveMaxInto(nil, d, o, DefaultMaxBins)
-}
-
-// ConvolveMax is Convolve with an explicit cap on the number of result bins.
-func (d *PMF) ConvolveMax(o *PMF, maxBins int) *PMF {
-	return ConvolveMaxInto(nil, d, o, maxBins)
-}
-
-// Shift returns the PMF translated by t time units (rounded to whole bins).
-func (d *PMF) Shift(t float64) *PMF {
-	return d.Clone().ShiftInPlace(t)
-}
-
-// ConditionMin returns the distribution conditioned on X >= t, i.e. the
-// remaining completion-time distribution of a task that is known to be
-// unfinished at time t. Mass strictly before t is removed and the remainder
-// renormalized. If no mass remains at or after t, a point mass at t is
-// returned (the task is due to finish "now").
-func (d *PMF) ConditionMin(t float64) *PMF {
-	return ConditionMinInto(nil, d, t)
+	return ConvolveInto(nil, d, o)
 }
 
 // Sample draws a variate by inverse-CDF sampling over the bins, with uniform
@@ -366,12 +346,4 @@ func Mixture(ds []*PMF, ws []float64) *PMF {
 		tail += f * d.tail
 	}
 	return New(lo, w, masses, tail)
-}
-
-// SortedTimes returns all distinct representative support times of d sorted
-// ascending (helper for deterministic iteration in tests and exports).
-func (d *PMF) SortedTimes() []float64 {
-	ts, _ := d.Support()
-	sort.Float64s(ts)
-	return ts
 }

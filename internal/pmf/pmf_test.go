@@ -164,7 +164,7 @@ func TestConvolveWidthMismatchPanics(t *testing.T) {
 func TestConvolveTruncationFoldsToTail(t *testing.T) {
 	a := New(0, 1, []float64{0.5, 0.5}, 0)
 	b := New(0, 1, []float64{0.5, 0.5}, 0)
-	c := a.ConvolveMax(b, 1) // only bin 0 kept -> 0.25 mass, rest to tail
+	c := ConvolveMaxInto(nil, a, b, 1) // only bin 0 kept -> 0.25 mass, rest to tail
 	if !almost(c.Mass(0), 0.25, tol) {
 		t.Fatalf("kept mass %v", c.Mass(0))
 	}
@@ -189,9 +189,11 @@ func TestConvolveTailComposition(t *testing.T) {
 	}
 }
 
+// TestShift shifts by convolving with a point mass, the only shift the
+// kernel API offers.
 func TestShift(t *testing.T) {
 	d := New(0, 0.5, []float64{1, 1}, 0)
-	s := d.Shift(2)
+	s := ConvolveInto(nil, d, Delta(2, d.Width()))
 	if !almost(s.Mean(), d.Mean()+2, tol) {
 		t.Fatalf("shift mean %v, want %v", s.Mean(), d.Mean()+2)
 	}
@@ -199,7 +201,7 @@ func TestShift(t *testing.T) {
 
 func TestConditionMin(t *testing.T) {
 	d := New(0, 1, []float64{0.25, 0.25, 0.25, 0.25}, 0)
-	c := d.ConditionMin(2)
+	c := ConditionMinInto(nil, d, 2)
 	if !almost(c.ProbLE(1.5), 0, tol) {
 		t.Fatalf("mass below cut survived: %v", c.ProbLE(1.5))
 	}
@@ -210,7 +212,7 @@ func TestConditionMin(t *testing.T) {
 
 func TestConditionMinNoop(t *testing.T) {
 	d := New(5, 1, []float64{1, 1}, 0)
-	c := d.ConditionMin(3)
+	c := ConditionMinInto(nil, d, 3)
 	if !d.Equal(c, tol) {
 		t.Fatalf("ConditionMin below support should be a no-op")
 	}
@@ -218,7 +220,7 @@ func TestConditionMinNoop(t *testing.T) {
 
 func TestConditionMinPastSupport(t *testing.T) {
 	d := New(0, 1, []float64{1, 1}, 0)
-	c := d.ConditionMin(10)
+	c := ConditionMinInto(nil, d, 10)
 	if !almost(c.Mean(), 10, tol) {
 		t.Fatalf("conditioning past support should give point mass at t: mean=%v", c.Mean())
 	}
@@ -226,7 +228,7 @@ func TestConditionMinPastSupport(t *testing.T) {
 
 func TestConditionMinAllTail(t *testing.T) {
 	d := New(0, 1, []float64{0.5}, 0.5)
-	c := d.ConditionMin(5)
+	c := ConditionMinInto(nil, d, 5)
 	if !almost(c.Tail(), 1, tol) {
 		t.Fatalf("conditioning past support with tail should be all tail: %v", c.Tail())
 	}

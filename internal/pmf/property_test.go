@@ -87,7 +87,7 @@ func TestPropCDFMonotone(t *testing.T) {
 func TestPropConditionMinNormalized(t *testing.T) {
 	f := func(g genPMF, cutRaw uint8) bool {
 		cut := g.d.MinTime() + float64(cutRaw%16)
-		c := g.d.ConditionMin(cut)
+		c := ConditionMinInto(nil, g.d, cut)
 		if math.Abs(c.TotalMass()-1) > 1e-9 {
 			return false
 		}
@@ -102,8 +102,8 @@ func TestPropConditionMinNormalized(t *testing.T) {
 func TestPropConditionMinIdempotent(t *testing.T) {
 	f := func(g genPMF, cutRaw uint8) bool {
 		cut := g.d.MinTime() + float64(cutRaw%8)
-		once := g.d.ConditionMin(cut)
-		twice := once.ConditionMin(cut)
+		once := ConditionMinInto(nil, g.d, cut)
+		twice := ConditionMinInto(nil, once, cut)
 		return once.Equal(twice, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -114,7 +114,7 @@ func TestPropConditionMinIdempotent(t *testing.T) {
 func TestPropShiftPreservesShape(t *testing.T) {
 	f := func(g genPMF, kRaw int8) bool {
 		k := float64(kRaw % 16)
-		s := g.d.Shift(k)
+		s := ConvolveInto(nil, g.d, Delta(k, 1))
 		if math.Abs(s.TotalMass()-1) > 1e-9 {
 			return false
 		}
@@ -146,12 +146,14 @@ func TestPropQuantileInverseOfCDF(t *testing.T) {
 	}
 }
 
+// TestPropDeltaConvolutionShifts: convolving with a point mass, on either
+// side, is exactly the reference shift.
 func TestPropDeltaConvolutionShifts(t *testing.T) {
 	f := func(g genPMF, kRaw int8) bool {
-		k := int(kRaw % 8)
-		d := Delta(float64(k), 1)
-		c := g.d.Convolve(d)
-		return c.Equal(g.d.Shift(float64(k)), 1e-9)
+		k := float64(kRaw % 8)
+		d := Delta(k, 1)
+		want := refShift(g.d, k)
+		return bitwiseEqual(ConvolveInto(nil, g.d, d), want) && bitwiseEqual(ConvolveInto(nil, d, g.d), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

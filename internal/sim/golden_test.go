@@ -106,36 +106,3 @@ func TestGoldenRun(t *testing.T) {
 		})
 	}
 }
-
-// TestGoldenAggregates pins the optional fixed-size aggregates a Run feeds:
-// response and queue-wait statistics, quantile estimators and the outcome
-// timeline.
-func TestGoldenAggregates(t *testing.T) {
-	gf := golden.Open(t, "testdata/golden_aggregates.json")
-	for _, mode := range []struct {
-		name string
-		cfg  func() Config
-	}{
-		{"batch-MM", func() Config { return batchCfg(sched.NewMM(), core.DefaultConfig(12)) }},
-		{"immediate-MCT-churn", func() Config {
-			cfg := immCfg(sched.NewMCT(), core.DefaultConfig(12))
-			cfg.Events = churnSchedule()
-			return cfg
-		}},
-	} {
-		tasks := smallWorkload(1500, 3)
-		agg := NewTaskAggregates(len(tasks), 10)
-		cfg := mode.cfg()
-		cfg.Aggregates = agg
-		res, err := Run(hcMatrix, tasks, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap := agg.Timeline.Snapshot()
-		if snap.Totals.Counted != res.TotalTasks {
-			t.Fatalf("%s: aggregates saw %d tasks, want every one of %d", mode.name, snap.Totals.Counted, res.TotalTasks)
-		}
-		gf.Check(t, mode.name, golden.Digest(res, agg.Response, agg.RespP50, agg.RespP90, agg.RespP99,
-			agg.QueueWait, snap.Totals, snap.Bins))
-	}
-}

@@ -103,11 +103,6 @@ type Config struct {
 	// only when the source dries up, so this is how RunStream callers keep
 	// tiny workloads runnable without pre-counting.
 	AutoExcludeBoundary bool
-	// Aggregates, when non-nil, receives every task the moment its outcome
-	// is known (and unfinished leftovers at the end of the trial) —
-	// fixed-size streaming per-task statistics independent of the counted
-	// window. See TaskAggregates.
-	Aggregates *TaskAggregates
 }
 
 // TaskSource yields the tasks of one trial. The simulator requires non-nil
@@ -407,7 +402,7 @@ func Run(matrix *pet.Matrix, tasks []*task.Task, cfg Config) (*Result, error) {
 }
 
 // RunStream executes one simulation pulling tasks incrementally from src,
-// with memory bounded by the in-flight window plus fixed aggregator state —
+// with memory bounded by the in-flight window plus fixed per-machine state —
 // never by the total task count. It learns the task total only when src
 // dries up, so an ExcludeBoundary too large for the workload is reported
 // (or, with AutoExcludeBoundary, clamped) at the end of the trial. If src

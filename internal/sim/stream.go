@@ -8,7 +8,7 @@ import (
 
 // The task stream: run pulls tasks from a TaskSource one at a time and
 // retires each the moment its outcome is final, so a trial's live memory is
-// O(in-flight tasks + fixed aggregator state) instead of O(total tasks).
+// O(in-flight tasks + fixed per-machine state) instead of O(total tasks).
 // Run feeds a materialized workload through the same loop via sliceSource.
 //
 // The counted-window tally accumulates the Result's floats (ValueTotal,
@@ -65,14 +65,11 @@ func (s *simulator) pullArrival() error {
 	return nil
 }
 
-// retire processes a task the moment its outcome is final: it feeds the
-// optional fixed-size aggregates, records the outcome, hands the struct back
-// to the source if the source reuses tasks, and folds whatever the window
-// now allows. The task must no longer be referenced by any queue.
+// retire processes a task the moment its outcome is final: it records the
+// outcome, hands the struct back to the source if the source reuses tasks,
+// and folds whatever the window now allows. The task must no longer be
+// referenced by any queue.
 func (s *simulator) retire(t *task.Task) {
-	if s.cfg.Aggregates != nil {
-		s.cfg.Aggregates.observe(t, s.now)
-	}
 	st := &s.stream
 	st.pending[t.ID] = outcome{status: t.Status, typ: t.Type, value: t.Value}
 	if st.rec != nil {

@@ -1,11 +1,65 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"prunesim/internal/pet"
+	"prunesim/internal/randx"
 	"prunesim/internal/task"
 )
+
+// referenceGenerate is an independent materializer the Source is checked
+// against: it draws each task type's whole stream in turn, then stable-sorts
+// by (Arrival, Type) and numbers the tasks. Per-type streams emit in
+// nondecreasing time, so stability keeps equal (Arrival, Type) pairs in
+// stream order — the tie rule the Source's k-way merge must reproduce.
+func referenceGenerate(m *pet.Matrix, model ArrivalModel, cfg Config) []*task.Task {
+	var all []*task.Task
+	for tt := 0; tt < m.NumTaskTypes(); tt++ {
+		// Deadline and value draws share the type's stream, interleaved
+		// with its arrival draws.
+		rng := randx.Split(cfg.Seed, uint64(cfg.Trial)*1000003+uint64(tt))
+		stream := model.Stream(tt, cfg.Trial, rng)
+		for {
+			t, ok := stream.Next()
+			if !ok {
+				break
+			}
+			beta := rng.Uniform(cfg.BetaLo, cfg.BetaHi)
+			tk := task.New(0, tt, t, t+m.TaskAvg(tt)+beta*m.AvgAll())
+			if cfg.ValueHi > 0 {
+				tk.Value = rng.Uniform(cfg.ValueLo, cfg.ValueHi)
+			}
+			all = append(all, tk)
+		}
+	}
+	slices.SortStableFunc(all, func(a, b *task.Task) int {
+		switch {
+		case a.Arrival < b.Arrival:
+			return -1
+		case a.Arrival > b.Arrival:
+			return 1
+		}
+		return a.Type - b.Type
+	})
+	for i, t := range all {
+		t.ID = i
+	}
+	return all
+}
+
+// mustReference compiles cfg's arrival model and runs referenceGenerate.
+func mustReference(t *testing.T, cfg Config) []*task.Task {
+	t.Helper()
+	model, err := NewArrivalModel(cfg, testMatrix.NumTaskTypes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return referenceGenerate(testMatrix, model, cfg)
+}
 
 // drain pulls every task out of a source into a slice.
 func drain(s *Source) []*task.Task {
@@ -24,11 +78,11 @@ func drain(s *Source) []*task.Task {
 func requireIdentical(t *testing.T, label string, got, want []*task.Task) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: streamed %d tasks, materialized %d", label, len(got), len(want))
+		t.Fatalf("%s: streamed %d tasks, reference %d", label, len(got), len(want))
 	}
 	for i := range want {
 		if *got[i] != *want[i] {
-			t.Fatalf("%s: task %d differs:\n  streamed     %+v\n  materialized %+v", label, i, *got[i], *want[i])
+			t.Fatalf("%s: task %d differs:\n  streamed  %+v\n  reference %+v", label, i, *got[i], *want[i])
 		}
 	}
 }
@@ -37,15 +91,13 @@ func TestSourceMatchesGenerateGolden(t *testing.T) {
 	cfg := DefaultConfig(600)
 	cfg.Trial = 3
 	cfg.ValueLo, cfg.ValueHi = 0.5, 2
-	want, err := Generate(testMatrix, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustReference(t, cfg)
 	src, err := NewSource(testMatrix, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireIdentical(t, "spiky golden", drain(src), want)
+	requireIdentical(t, "spiky golden via Generate", mustGenerate(t, cfg), want)
 }
 
 func TestSourceRejectsInvalidConfig(t *testing.T) {
@@ -153,29 +205,32 @@ func randomConfig(r *rand.Rand) Config {
 		for i := range arr {
 			arr[i] = cfg.TimeSpan * r.Float64()
 		}
+		if r.Intn(2) == 0 {
+			// Whole-number timestamps make arrivals of different types
+			// tie, exercising the (Arrival, Type) tie rule.
+			for i := range arr {
+				arr[i] = math.Floor(arr[i] / 10)
+			}
+		}
 		cfg.Trace = TraceConfig{Arrivals: arr}
 	}
 	return cfg
 }
 
 // TestSourceMatchesGeneratePropertyAllModels: across random configurations of
-// all six arrival models, the streaming source replays GenerateWith
-// bit-for-bit.
+// all six arrival models, the streaming source replays the sort-based
+// reference bit-for-bit.
 func TestSourceMatchesGeneratePropertyAllModels(t *testing.T) {
 	r := rand.New(rand.NewSource(0x50facade))
 	covered := make(map[string]bool)
 	for iter := 0; iter < 60; iter++ {
 		cfg := randomConfig(r)
 		covered[modelName(cfg)] = true
-		want, err := Generate(testMatrix, cfg)
-		if err != nil {
-			t.Fatalf("iter %d (%s): %v", iter, cfg.Model, err)
-		}
 		src, err := NewSource(testMatrix, cfg)
 		if err != nil {
 			t.Fatalf("iter %d (%s): %v", iter, cfg.Model, err)
 		}
-		requireIdentical(t, cfg.Model, drain(src), want)
+		requireIdentical(t, cfg.Model, drain(src), mustReference(t, cfg))
 	}
 	for _, m := range []string{ModelSpiky, ModelConstant, ModelPoisson, ModelDiurnal, ModelMMPP, ModelTrace} {
 		if !covered[m] {
@@ -206,7 +261,7 @@ func TestSourceMatchesGenerateWithSurgeOverlay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		want := GenerateWith(testMatrix, model, cfg)
+		want := referenceGenerate(testMatrix, model, cfg)
 		got := drain(NewSourceWith(testMatrix, model, cfg))
 		requireIdentical(t, "surge overlay", got, want)
 	}

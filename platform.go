@@ -7,9 +7,6 @@ import (
 	"prunesim/internal/sim"
 )
 
-// schedByName resolves a heuristic name to a fresh instance.
-func schedByName(name string) (any, bool, error) { return sched.ByName(name) }
-
 // PlatformConfig describes a serverless platform to simulate: its machines,
 // allocation mode, mapping heuristic and pruning mechanism.
 type PlatformConfig struct {
@@ -102,25 +99,39 @@ func (p *Platform) Run(tasks []*Task) (*Result, error) {
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("prunesim: empty workload")
 	}
-	h, _, err := sched.ByName(p.cfg.Heuristic) // fresh instance per run
+	cfg, err := p.simConfig(len(tasks))
 	if err != nil {
 		return nil, err
 	}
-	exclude := p.cfg.ExcludeBoundary
-	if 2*exclude >= len(tasks) {
-		exclude = (len(tasks) - 1) / 2
+	return sim.Run(p.cfg.Matrix, tasks, cfg)
+}
+
+// simConfig assembles the simulator configuration Run, RunStream and
+// AssessCalibration share, with a fresh heuristic instance per run. n is
+// the workload length ExcludeBoundary is clamped to; n < 0 marks a stream
+// of unknown length, which the simulator clamps itself once it ends.
+func (p *Platform) simConfig(n int) (sim.Config, error) {
+	h, _, err := sched.ByName(p.cfg.Heuristic)
+	if err != nil {
+		return sim.Config{}, err
 	}
-	return sim.Run(p.cfg.Matrix, tasks, sim.Config{
+	cfg := sim.Config{
 		Mode:            p.cfg.Mode,
 		Heuristic:       h,
 		MachineTypes:    p.cfg.MachineTypes,
 		Slots:           p.cfg.QueueSlots,
 		Prune:           p.cfg.Pruning,
 		Seed:            p.cfg.Seed,
-		ExcludeBoundary: exclude,
+		ExcludeBoundary: p.cfg.ExcludeBoundary,
 		TailEps:         p.cfg.PCTTailEps,
 		Observer:        p.cfg.Observer,
-	})
+	}
+	if n < 0 {
+		cfg.AutoExcludeBoundary = true
+	} else if 2*cfg.ExcludeBoundary >= n {
+		cfg.ExcludeBoundary = (n - 1) / 2
+	}
+	return cfg, nil
 }
 
 // RunTrial generates workload trial number `trial` from cfg and runs it.
@@ -142,22 +153,11 @@ func (p *Platform) RunTrial(wcfg WorkloadConfig, trial int) (*Result, error) {
 // equivalent (tiny workloads clamp the boundary differently: n/4 here
 // versus Run's (n-1)/2).
 func (p *Platform) RunStream(src *WorkloadSource) (*Result, error) {
-	h, _, err := sched.ByName(p.cfg.Heuristic) // fresh instance per run
+	cfg, err := p.simConfig(-1)
 	if err != nil {
 		return nil, err
 	}
-	return sim.RunStream(p.cfg.Matrix, src, sim.Config{
-		Mode:                p.cfg.Mode,
-		Heuristic:           h,
-		MachineTypes:        p.cfg.MachineTypes,
-		Slots:               p.cfg.QueueSlots,
-		Prune:               p.cfg.Pruning,
-		Seed:                p.cfg.Seed,
-		ExcludeBoundary:     p.cfg.ExcludeBoundary,
-		AutoExcludeBoundary: true,
-		TailEps:             p.cfg.PCTTailEps,
-		Observer:            p.cfg.Observer,
-	})
+	return sim.RunStream(p.cfg.Matrix, src, cfg)
 }
 
 // RunTrialStream generates workload trial number `trial` as a stream and

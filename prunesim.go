@@ -377,21 +377,10 @@ type (
 // estimator: tasks mapped at predicted chance p should complete on time
 // with empirical frequency near p. bins sets the table resolution.
 func (p *Platform) AssessCalibration(tasks []*Task, bins int) (*CalibrationReport, error) {
-	h, _, err := schedByName(p.cfg.Heuristic)
+	cfg, err := p.simConfig(len(tasks))
 	if err != nil {
 		return nil, err
 	}
-	exclude := p.cfg.ExcludeBoundary
-	if 2*exclude >= len(tasks) {
-		exclude = (len(tasks) - 1) / 2
-	}
-	return calibration.Assess(p.cfg.Matrix, tasks, sim.Config{
-		Mode:            p.cfg.Mode,
-		Heuristic:       h,
-		MachineTypes:    p.cfg.MachineTypes,
-		Slots:           p.cfg.QueueSlots,
-		Prune:           p.cfg.Pruning,
-		Seed:            p.cfg.Seed,
-		ExcludeBoundary: exclude,
-	}, bins)
+	cfg.Observer = nil // Assess installs its own
+	return calibration.Assess(p.cfg.Matrix, tasks, cfg, bins)
 }

@@ -2,6 +2,7 @@ package prunesim_test
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -303,6 +304,41 @@ func TestAssessCalibrationViaFacade(t *testing.T) {
 	}
 	if rep.MeanAbsGap > 0.25 {
 		t.Fatalf("estimator badly calibrated via facade: %.1f%%", 100*rep.MeanAbsGap)
+	}
+}
+
+// TestAssessCalibrationHonorsPCTTailEps: calibration simulates with the
+// platform's tail-ε like Run does, so a coarse ε changes the chances it
+// reports.
+func TestAssessCalibrationHonorsPCTTailEps(t *testing.T) {
+	matrix := prunesim.StandardPET()
+	wcfg := prunesim.DefaultWorkload(2000)
+	wcfg.TimeSpan = 600
+	wcfg.NumSpikes = 2
+	report := func(eps float64) *prunesim.CalibrationReport {
+		t.Helper()
+		p, err := prunesim.NewPlatform(prunesim.PlatformConfig{
+			Matrix:     matrix,
+			Heuristic:  "MM",
+			Pruning:    prunesim.DefaultPruning(matrix.NumTaskTypes()),
+			Seed:       3,
+			PCTTailEps: eps,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks, err := prunesim.GenerateWorkload(matrix, wcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := p.AssessCalibration(tasks, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	if exact, coarse := report(0), report(0.2); reflect.DeepEqual(exact, coarse) {
+		t.Fatalf("PCTTailEps 0.2 left the calibration report unchanged:\n%v", coarse)
 	}
 }
 
