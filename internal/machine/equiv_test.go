@@ -30,6 +30,17 @@ type refMachine struct {
 	pending  []Entry
 	stale    bool
 	down     bool
+	tailEps  float64
+}
+
+// convolve extends a chain link: prev ⊛ PET(taskType), tail-compressed by
+// the configured epsilon as every production chain convolution is.
+func (m *refMachine) convolve(prev *pmf.PMF, taskType int) *pmf.PMF {
+	d := pmf.ConvolveInto(nil, prev, m.pet(taskType))
+	if m.tailEps > 0 {
+		d.CompressTailInPlace(m.tailEps)
+	}
+	return d
 }
 
 func (m *refMachine) baselinePCT(now float64) *pmf.PMF {
@@ -53,7 +64,7 @@ func (m *refMachine) refreshIfStale() {
 		return
 	}
 	for i := range m.pending {
-		pct := pmf.ConvolveInto(nil, prev, m.pet(m.pending[i].Task.Type))
+		pct := m.convolve(prev, m.pending[i].Task.Type)
 		m.pending[i].PCT = pct
 		prev = pct
 	}
@@ -73,11 +84,11 @@ func (m *refMachine) expectedReady(now float64) float64 {
 }
 
 func (m *refMachine) chanceIfEnqueued(taskType int, deadline, now float64) float64 {
-	return pmf.ConvolveInto(nil, m.lastPCT(now), m.pet(taskType)).ProbLE(deadline)
+	return m.convolve(m.lastPCT(now), taskType).ProbLE(deadline)
 }
 
 func (m *refMachine) enqueue(t *task.Task, now float64) {
-	pct := pmf.ConvolveInto(nil, m.lastPCT(now), m.pet(t.Type))
+	pct := m.convolve(m.lastPCT(now), t.Type)
 	t.Status = task.StatusMachineQueued
 	m.pending = append(m.pending, Entry{Task: t, PCT: pct})
 }
@@ -117,7 +128,7 @@ func (m *refMachine) dropPending(now float64, shouldDrop func(e Entry) bool) []*
 	kept := m.pending[:0]
 	for _, e := range m.pending {
 		if dirty {
-			e.PCT = pmf.ConvolveInto(nil, prev, m.pet(e.Task.Type))
+			e.PCT = m.convolve(prev, e.Task.Type)
 		}
 		if shouldDrop(e) {
 			if !dirty {
@@ -166,10 +177,17 @@ func (m *refMachine) setPET(lookup PETLookup) {
 	m.stale = true
 }
 
+func (m *refMachine) setTailEps(eps float64) {
+	if eps != m.tailEps {
+		m.tailEps = eps
+		m.stale = true
+	}
+}
+
 func (m *refMachine) refreshPCTs(now float64) {
 	prev := m.baselinePCT(now)
 	for i := range m.pending {
-		pct := pmf.ConvolveInto(nil, prev, m.pet(m.pending[i].Task.Type))
+		pct := m.convolve(prev, m.pending[i].Task.Type)
 		m.pending[i].PCT = pct
 		prev = pct
 	}
@@ -209,22 +227,29 @@ const (
 	opFail    // platform failure: orphan everything, go down
 	opJoin    // rejoin a failed machine
 	opSwapPET // degradation/restoration: swap the PET lookup mid-stream
+	opTailEps // change the tail-compression epsilon mid-stream
 	numOpKinds
 )
 
-// equivScenario is a fuzzer-generated operation sequence.
+// equivTailEps are the epsilons opTailEps switches between.
+var equivTailEps = [...]float64{0, 1e-4, 0.02, 0.2}
+
+// equivScenario is a fuzzer-generated operation sequence. probes[i]
+// selects the chance queries made after op i (see probeChances).
 type equivScenario struct {
-	ops  []opKind
-	args []uint8
+	ops    []opKind
+	args   []uint8
+	probes []uint8
 }
 
 // Generate implements quick.Generator.
 func (equivScenario) Generate(r *rand.Rand, _ int) reflect.Value {
 	n := 4 + r.Intn(40)
-	sc := equivScenario{ops: make([]opKind, n), args: make([]uint8, n)}
+	sc := equivScenario{ops: make([]opKind, n), args: make([]uint8, n), probes: make([]uint8, n)}
 	for i := range sc.ops {
 		sc.ops[i] = opKind(r.Intn(int(numOpKinds)))
 		sc.args[i] = uint8(r.Intn(256))
+		sc.probes[i] = uint8(r.Intn(256))
 	}
 	return reflect.ValueOf(sc)
 }
@@ -372,6 +397,10 @@ func TestPropIncrementalEquivalentToFullRecompute(t *testing.T) {
 				}
 				inc.SetPET(next)
 				ref.setPET(next)
+			case opTailEps:
+				eps := equivTailEps[arg%uint8(len(equivTailEps))]
+				inc.SetTailEps(eps)
+				ref.setTailEps(eps)
 			case opObserve:
 				if inc.Down() {
 					continue
@@ -389,7 +418,7 @@ func TestPropIncrementalEquivalentToFullRecompute(t *testing.T) {
 					return false
 				}
 			}
-			if !check(step) {
+			if !check(step) || !probeChances(t, inc, ref, sc.probes[step], now, step) {
 				return false
 			}
 		}
@@ -402,6 +431,89 @@ func TestPropIncrementalEquivalentToFullRecompute(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// probeChances interleaves chance queries between mutations: when probe's
+// low bit is set it asks for every task type, starting at a probe-chosen
+// type and asking for that type again at the end (A B C A), so a query
+// follows queries of other types on the same machine state. Each answer
+// must match the reference bitwise; the check after the next op compares
+// the PCT a following Enqueue takes over from the memo.
+func probeChances(t *testing.T, inc *Machine, ref *refMachine, probe uint8, now float64, step int) bool {
+	if probe&1 == 0 || inc.Down() {
+		return true
+	}
+	first := int(probe>>1) % 3
+	deadline := now + float64(probe>>3)
+	for i := 0; i <= 3; i++ {
+		tt := (first + i) % 3
+		ci := inc.ChanceIfEnqueued(tt, deadline, now)
+		cr := ref.chanceIfEnqueued(tt, deadline, now)
+		if math.Float64bits(ci) != math.Float64bits(cr) {
+			t.Logf("step %d probe %d type %d: chance %v vs %v", step, i, tt, ci, cr)
+			return false
+		}
+	}
+	return true
+}
+
+// TestChanceMemoKeyedByType pins the memo's key: querying type A, then B,
+// then A again on one machine state must give each type its own PCT, equal
+// to a fresh computation. A memo keyed by version alone would hand B the
+// PCT it built for A.
+func TestChanceMemoKeyedByType(t *testing.T) {
+	lookup := randomPET()
+	m := New(0, 0, lookup, 1)
+	m.SetScratch(&pmf.Scratch{})
+	ref := &refMachine{pet: lookup, binWidth: 1}
+	for i := 0; i < 3; i++ {
+		m.Enqueue(task.New(i, i%3, 0, 50), 0)
+		ref.enqueue(task.New(i, i%3, 0, 50), 0)
+	}
+	m.StartNext(0)
+	ref.startNext(0)
+	for _, tt := range []int{0, 2, 0, 1, 2} {
+		got := m.pctIfEnqueued(tt, lookup(tt), 0.5)
+		want := ref.convolve(ref.lastPCT(0.5), tt)
+		if err := pmfBitwise(got, want); err != nil {
+			t.Fatalf("type %d: %v", tt, err)
+		}
+	}
+	// The memo an Enqueue took over is rebuilt, not reused, for the next
+	// query of that type.
+	m.Enqueue(task.New(3, 2, 0, 50), 0.5)
+	ref.enqueue(task.New(3, 2, 0, 50), 0.5)
+	for _, tt := range []int{2, 0} {
+		if err := pmfBitwise(m.pctIfEnqueued(tt, lookup(tt), 0.5), ref.convolve(ref.lastPCT(0.5), tt)); err != nil {
+			t.Fatalf("after Enqueue, type %d: %v", tt, err)
+		}
+	}
+}
+
+// TestSetScratchReturnsChanceBuffers: detaching a machine from its scratch
+// hands every chance memo's buffer back, so per-type memos cost a sweep no
+// allocations across trials, and the machine still answers correctly.
+func TestSetScratchReturnsChanceBuffers(t *testing.T) {
+	lookup := randomPET()
+	m := New(0, 0, lookup, 1)
+	scratch := &pmf.Scratch{}
+	m.SetScratch(scratch)
+	m.Enqueue(task.New(0, 1, 0, 50), 0)
+	for tt := 0; tt < 3; tt++ {
+		m.ChanceIfEnqueued(tt, 5, 0)
+	}
+	before := scratch.Len()
+	m.SetScratch(nil)
+	if got := scratch.Len() - before; got != 3 {
+		t.Fatalf("SetScratch(nil) returned %d buffers, want 3", got)
+	}
+	ref := &refMachine{pet: lookup, binWidth: 1}
+	ref.enqueue(task.New(0, 1, 0, 50), 0)
+	for tt := 0; tt < 3; tt++ {
+		if ci, cr := m.ChanceIfEnqueued(tt, 5, 0), ref.chanceIfEnqueued(tt, 5, 0); math.Float64bits(ci) != math.Float64bits(cr) {
+			t.Fatalf("type %d after detach: chance %v vs %v", tt, ci, cr)
+		}
 	}
 }
 

@@ -117,11 +117,19 @@ type Machine struct {
 	meanKey anchorKey
 	mean    float64
 
-	chanceOK   bool
-	chanceVer  uint64
-	chanceKey  anchorKey
-	chanceType int
-	chancePCT  *pmf.PMF
+	// chance memoises pctIfEnqueued per task type (index), grown lazily.
+	chance []chanceMemo
+}
+
+// chanceMemo is one task type's memoised pctIfEnqueued result. It is valid
+// only while ver equals the machine's ver and key equals the current
+// anchor key (the zero key while the queue is non-empty), so a version
+// bump invalidates every type's memo without touching them, and the
+// buffers stay for reuse.
+type chanceMemo struct {
+	ver uint64
+	key anchorKey
+	pct *pmf.PMF
 }
 
 // New constructs an idle machine of the given machine type.
@@ -138,8 +146,18 @@ func New(id, typeIdx int, lookup PETLookup, binWidth float64) *Machine {
 // SetScratch attaches a buffer pool for the machine's PMF arithmetic. The
 // scratch may be shared by all machines of one simulation trial (they run
 // on one goroutine) but must not be shared across goroutines. A nil scratch
-// is valid and means plain allocation.
-func (m *Machine) SetScratch(s *pmf.Scratch) { m.scratch = s }
+// is valid and means plain allocation. The chance memos' buffers never
+// leave the machine, so they go back to the pool being replaced: a trial
+// that detaches its machines at the end leaves them for the next trial.
+func (m *Machine) SetScratch(s *pmf.Scratch) {
+	if s != m.scratch {
+		for i := range m.chance {
+			m.scratch.Put(m.chance[i].pct)
+			m.chance[i] = chanceMemo{}
+		}
+	}
+	m.scratch = s
+}
 
 // SetTailEps configures tail-mass-ε support compression: after every chain
 // convolution the resulting PCT drops its largest suffix with mass <= eps
@@ -218,7 +236,6 @@ func (m *Machine) Pending() []Entry {
 func (m *Machine) bumpVer() {
 	m.ver++
 	m.meanOK = false
-	m.chanceOK = false
 }
 
 // anchorKeyAt returns the identity of the distribution baselinePCT(now)
@@ -345,25 +362,31 @@ func (m *Machine) ExpectedReady(now float64) float64 {
 }
 
 // pctIfEnqueued returns the PCT a task of the given type would get if
-// appended now (Eq. 1). The result lives in the machine's chance buffer and
-// is cached so the ChanceIfEnqueued-then-Enqueue sequence every mapping
-// event performs convolves once, not twice.
+// appended now (Eq. 1). The result lives in the type's chance memo buffer
+// and is reused while the machine's state is unchanged, so the
+// ChanceIfEnqueued-then-Enqueue sequence convolves once, not twice, and a
+// mapping event that proposes several tasks of one type to an unchanged
+// machine (a deferral makes batchMap call Map again) convolves once per
+// type. The deadline enters only at ProbLE, so it is no part of the key.
 func (m *Machine) pctIfEnqueued(taskType int, p *pmf.PMF, now float64) *pmf.PMF {
 	var akey anchorKey
 	if len(m.pending) == 0 {
 		akey = m.anchorKeyAt(now)
 	}
-	if m.chanceOK && m.chanceVer == m.ver && m.chanceType == taskType &&
-		m.chanceKey == akey && m.chancePCT != nil {
-		return m.chancePCT
+	if taskType >= len(m.chance) {
+		m.chance = append(m.chance, make([]chanceMemo, taskType+1-len(m.chance))...)
+	}
+	c := &m.chance[taskType]
+	if c.pct != nil && c.ver == m.ver && c.key == akey {
+		return c.pct
 	}
 	last := m.LastPCT(now)
-	if m.chancePCT == nil {
-		m.chancePCT = m.scratch.Get()
+	if c.pct == nil {
+		c.pct = m.scratch.Get()
 	}
-	m.compressed(pmf.ConvolveInto(m.chancePCT, last, p))
-	m.chanceOK, m.chanceVer, m.chanceKey, m.chanceType = true, m.ver, akey, taskType
-	return m.chancePCT
+	m.compressed(pmf.ConvolveInto(c.pct, last, p))
+	c.ver, c.key = m.ver, akey
+	return c.pct
 }
 
 // ChanceIfEnqueued returns the chance of success (Eq. 2) a task of the given
@@ -384,9 +407,10 @@ func (m *Machine) Enqueue(t *task.Task, now float64) {
 		panic(fmt.Sprintf("machine %d: no PET for task type %d", m.id, t.Type))
 	}
 	pct := m.pctIfEnqueued(t.Type, p, now)
-	// The chance buffer becomes the entry's PCT; hand over ownership.
-	m.chancePCT = nil
-	m.chanceOK = false
+	// The type's memo buffer becomes the entry's PCT; hand over ownership.
+	// The other types' memos keep their buffers; bumpVer below makes them
+	// stale.
+	m.chance[t.Type].pct = nil
 	if len(m.pending) == 0 {
 		// A fresh chain starts on the anchor the PCT was just built from.
 		m.chainKey = m.anchorKeyAt(now)

@@ -8,6 +8,22 @@ import (
 // Edge-case coverage for Mixture and ConvolveMaxInto, previously exercised only
 // indirectly through the simulator.
 
+// TestNewNoBinsAllTail: an empty mass slice with a positive tail is the
+// all-tail PMF, not a slice-bounds panic.
+func TestNewNoBinsAllTail(t *testing.T) {
+	for _, masses := range [][]float64{nil, {}} {
+		d := New(0, 1, masses, 1)
+		if d.Tail() != 1 || d.NumBins() != 1 || d.Mass(0) != 0 {
+			t.Fatalf("New(0, 1, %v, 1) = %v, want one zero bin and tail 1", masses, d)
+		}
+		for _, x := range []float64{-1, 0, 1e9} {
+			if p := d.ProbLE(x); p != 0 {
+				t.Fatalf("ProbLE(%v) = %v, want 0", x, p)
+			}
+		}
+	}
+}
+
 func TestMixtureEmptyInputsPanic(t *testing.T) {
 	cases := []struct {
 		name string

@@ -1,6 +1,9 @@
 package pmf
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file holds the destination-passing ("Into") kernels of the PMF
 // algebra: the one implementation of convolution (Eq. 1) and conditioning
@@ -19,12 +22,14 @@ import "math"
 //     callers without a buffer to reuse lose nothing.
 
 // resize returns p with length n, reusing capacity when possible. The
-// contents are unspecified.
+// contents are unspecified. Growth is geometric, as append's: a recycled
+// buffer serves PMFs of varying size, and growing it to exactly n made it
+// reallocate at nearly every new maximum.
 func resize(p []float64, n int) []float64 {
 	if cap(p) >= n {
 		return p[:n]
 	}
-	return make([]float64, n)
+	return slices.Grow(p[:0], n)[:n]
 }
 
 // ConvolveInto computes the distribution of X + Y for independent a and b

@@ -212,10 +212,10 @@ func TestChainedInPlaceMatchesImmutableChain(t *testing.T) {
 
 // fuzzPMF builds a PMF of width 0.5 from raw fuzzer bytes: raw[0] sets the
 // origin, raw[1] the tail mass and each further byte one bin's mass, zero
-// bins included. It returns nil when the bytes cannot make a valid PMF with
-// at least one bin.
+// bins included; with no further bytes the PMF is all tail. It returns nil
+// when the bytes cannot make a valid PMF.
 func fuzzPMF(raw []byte) *PMF {
-	if len(raw) < 3 {
+	if len(raw) < 2 {
 		return nil
 	}
 	masses := make([]float64, min(len(raw)-2, 64))
@@ -237,6 +237,7 @@ func FuzzConvolveMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 6, 1, 1}, []byte{4, 0, 4, 2, 1, 1}, uint8(3), int8(2))
 	f.Add([]byte{250, 9, 0, 3, 0, 0, 7}, []byte{1, 40, 5}, uint8(0), int8(-3))
 	f.Add([]byte{7, 63, 0}, []byte{2, 1, 9, 9, 9, 9, 9, 9}, uint8(40), int8(90))
+	f.Add([]byte{3, 5}, []byte{1, 0, 4, 4}, uint8(2), int8(1)) // no bins, all tail
 	f.Fuzz(func(t *testing.T, araw, braw []byte, capRaw uint8, cutRaw int8) {
 		a, b := fuzzPMF(araw), fuzzPMF(braw)
 		if a == nil || b == nil {

@@ -301,7 +301,11 @@ func (d *PMF) trim() {
 	}
 	if lo == hi {
 		// Keep a single zero bin so the PMF stays well formed (all mass in
-		// tail). This can only happen when tail == 1.
+		// tail). This can only happen when tail == 1; an empty mass slice
+		// gets its zero bin here.
+		if len(d.p) == 0 {
+			d.p = append(d.p, 0)
+		}
 		d.p = d.p[:1]
 		return
 	}

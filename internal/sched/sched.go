@@ -13,7 +13,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"prunesim/internal/machine"
@@ -99,11 +98,14 @@ type virtualState struct {
 	total int
 
 	// remaining is the reusable working copy of the unmapped tasks (see
-	// tasks). picks, chosenMach and chosenStamp are the per-round nominee
+	// tasks). keys and sel are assignByKey's per-task keys and ordered
+	// selection of task indices. picks, chosenMach and chosenStamp are the per-round nominee
 	// table and committed-task markers of mapPerMachineRounds; round is the
 	// monotonically increasing stamp that makes stale markers harmless
 	// across rounds, Map calls and pool reuses.
 	remaining   []*task.Task
+	keys        []float64
+	sel         []int
 	picks       []pick
 	chosenMach  []int32
 	chosenStamp []int64
@@ -253,9 +255,4 @@ func Names() []string {
 		"FCFS-RR", "EDF", "SJF",
 		"OLB", "MaxMin", "Sufferage",
 	}
-}
-
-// sortStable sorts assignments candidates deterministically.
-func sortTasksByArrival(ts []*task.Task) {
-	sort.SliceStable(ts, func(i, j int) bool { return ts[i].ID < ts[j].ID })
 }

@@ -190,6 +190,13 @@ func TestPMFFacade(t *testing.T) {
 	}
 }
 
+func TestNewPMFNoBinsAllTail(t *testing.T) {
+	d := prunesim.NewPMF(0, 1, nil, 1)
+	if d.Tail() != 1 || d.ProbLE(0) != 0 || d.ProbLE(100) != 0 {
+		t.Fatalf("NewPMF(0, 1, nil, 1) = %v, want all tail", d)
+	}
+}
+
 func TestEnergyFacade(t *testing.T) {
 	p, err := prunesim.NewPlatform(prunesim.PlatformConfig{Seed: 3})
 	if err != nil {
